@@ -1,15 +1,11 @@
 """Ablation — the dynamic semantics engines.
 
 The small-step machine is the faithful reference (it *is* Figures 1/2/5);
-the big-step tree evaluator is the readable production engine; the
-closure-compiling engine (:mod:`repro.semantics.compiled`) is the fast
-scalar one; the SPMD-vectorized engine
-(:mod:`repro.semantics.vectorized`) batches the compiled closures over
-all p pids per superstep.  This bench checks they agree on a corpus,
-measures the gaps, and **guards** two contracts: compiled must be >= 2x
-faster than tree on the warm scaling suite, and vectorized must be
->= 2x faster than compiled in aggregate on the wide machines (p >= 16)
-of the costed scaling suite — both with bit-identical BspCost tables
+the big-step tree evaluator is the readable cost oracle; the
+closure-compiling engine (:mod:`repro.semantics.compiled`) is the
+product evaluator.  This bench checks they agree on a corpus, measures
+the gaps, and **guards** one contract: compiled must be >= 2x faster
+than tree on the warm scaling suite, with bit-identical BspCost tables
 and abstract trace signatures.
 """
 
@@ -20,7 +16,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.bsp.machine import BspMachine
 from repro.bsp.params import BspParams
 from repro.lang.parser import parse_program
 from repro.lang.prelude import with_prelude
@@ -30,7 +25,6 @@ from repro.semantics.compiled import compile_program
 from repro.semantics.costed import run_costed
 from repro.semantics.smallstep import evaluate, step_count
 from repro.semantics.values import reify
-from repro.semantics.vectorized import compile_vectorized
 from repro.testing.generators import well_typed_corpus
 
 from _util import write_table
@@ -59,20 +53,6 @@ def _warm_ms(fn, budget_s=0.25):
         fn()
         calls += 1
     return (time.perf_counter() - start) / calls * 1e3
-
-
-def _warm_cpu_ms(fn, budget_s=0.4):
-    """Average per-call CPU milliseconds over a fixed budget (one
-    untimed warm-up call first).  CPU time, not wall clock: engine-vs-
-    engine guards must hold on noisy shared CI boxes where wall-clock
-    swings with scheduler steal."""
-    fn()
-    start = time.process_time()
-    calls = 0
-    while time.process_time() - start < budget_s:
-        fn()
-        calls += 1
-    return (time.process_time() - start) / calls * 1e3
 
 
 def test_engines_agree_and_compare(benchmark):
@@ -174,73 +154,6 @@ def test_compiled_speedup_guard():
     )
 
 
-def test_vectorized_speedup_guard():
-    """The vectorized engine's contract, enforced in CI: batching the
-    per-pid closure executions must pay off where SPMD batching matters
-    — >= 2x faster than the compiled engine in aggregate over the wide
-    machines (p >= 16) of the *costed* fold scaling suite — while
-    BspCost tables and abstract trace signatures stay bit-identical at
-    every p.  Narrow machines are reported but unguarded: at p = 2 the
-    vector bookkeeping has nothing to amortize over."""
-    expr = with_prelude(parse_program(SCALING_PROGRAM))
-    rows = []
-    wide_compiled = 0.0
-    wide_vectorized = 0.0
-    for p in SCALING_WIDTHS:
-        params = BspParams(p=p)
-        # Conformance first: costed machines + traces, both engines.
-        observations = []
-        for engine in ("compiled", "vectorized"):
-            with obs.trace() as collected:
-                result = run_costed(
-                    expr, params, use_prelude=False, engine=engine
-                )
-            observations.append(
-                (result.python_value, result.cost, collected.abstract_signature())
-            )
-        (compiled_value, compiled_cost, compiled_sig) = observations[0]
-        (vector_value, vector_cost, vector_sig) = observations[1]
-        assert vector_value == compiled_value, f"p={p}: values diverge"
-        assert vector_cost == compiled_cost, f"p={p}: BspCost diverges"
-        assert vector_sig == compiled_sig, f"p={p}: trace signature diverges"
-        # Warm timings over *costed* runs, fresh machine per run for
-        # both engines: batching only engages when a machine is
-        # attached (uncosted evaluation has no supersteps to batch).
-        compiled_program = compile_program(expr, p)
-        vector_program = compile_vectorized(expr, p)
-        compiled_ms = _warm_cpu_ms(
-            lambda: compiled_program.run(BspMachine(params))
-        )
-        vector_ms = _warm_cpu_ms(lambda: vector_program.run(BspMachine(params)))
-        if p >= 16:
-            wide_compiled += compiled_ms
-            wide_vectorized += vector_ms
-        rows.append(
-            (f"p={p}", f"{compiled_ms:.3f}", f"{vector_ms:.3f}",
-             f"{compiled_ms / vector_ms:.2f}x", "yes")
-        )
-    speedup = wide_compiled / wide_vectorized
-    rows.append(
-        ("p>=16 total", f"{wide_compiled:.3f}", f"{wide_vectorized:.3f}",
-         f"{speedup:.2f}x", "yes")
-    )
-    write_table(
-        "evaluator_vectorized_guard",
-        "Vectorized-engine speedup guard: warm costed fold scaling suite "
-        "(compile once, fresh machine per run)",
-        ("machine", "compiled ms", "vectorized ms", "speedup",
-         "cost+trace identical"),
-        rows,
-        footer="CI guard: aggregate CPU-time speedup over p in {16, 32} "
-        "must stay >= 2x with bit-identical BspCost tables and abstract "
-        "trace signatures at every p.",
-    )
-    assert speedup >= 2.0, (
-        f"vectorized engine regressed: {speedup:.2f}x < 2x over compiled "
-        "in aggregate at p >= 16 on the costed scaling suite"
-    )
-
-
 @pytest.mark.parametrize("p", [2, 4, 8, 16, 32])
 def test_bigstep_scales_with_p(benchmark, p):
     expr = with_prelude(parse_program(SCALING_PROGRAM))
@@ -255,17 +168,6 @@ def test_compiled_scales_with_p(benchmark, p):
     expr = with_prelude(parse_program(SCALING_PROGRAM))
     program = compile_program(expr, p)
     value = benchmark(program.run)
-    from repro.semantics.values import to_python
-
-    assert to_python(value)[0] == p * (p - 1) // 2
-
-
-@pytest.mark.parametrize("p", [2, 4, 8, 16, 32])
-def test_vectorized_scales_with_p(benchmark, p):
-    expr = with_prelude(parse_program(SCALING_PROGRAM))
-    program = compile_vectorized(expr, p)
-    params = BspParams(p=p)
-    value = benchmark(lambda: program.run(BspMachine(params)))
     from repro.semantics.values import to_python
 
     assert to_python(value)[0] == p * (p - 1) // 2

@@ -9,11 +9,6 @@ operator would point at the service's own traces.
 Scenarios:
 
 * ``typecheck``  — POST /v1/typecheck, distinct programs (no caching);
-* ``typecheck_w`` / ``typecheck_uf`` — POST /v1/typecheck with
-  ``infer_engine`` pinned, distinct *inference-heavy* programs (deep
-  let chains), every request cold: the union-find engine's speedup
-  measured end-to-end through the HTTP stack (typecheck digests
-  include the engine, so the engines never share a cache entry);
 * ``run_cold``   — POST /v1/run, distinct programs: parse + infer +
   evaluate + cost on every request;
 * ``run_cached`` — POST /v1/run, one program repeated: after the first
@@ -38,8 +33,6 @@ from repro.service import ServiceConfig, ServiceCore, start_in_background
 from _util import write_table
 
 REQUESTS_PER_SCENARIO = 60
-ENGINE_REQUESTS = 25
-ENGINE_PROGRAM_LETS = 60
 THROUGHPUT_THREADS = 8
 THROUGHPUT_REQUESTS = 120
 
@@ -59,18 +52,6 @@ def _request(port: int, path: str, payload: dict) -> int:
 
 def _distinct_program(i: int) -> str:
     return f"let base = {i} in bcast 2 (mkpar (fun i -> i * base))"
-
-
-def _inference_heavy_program(i: int) -> str:
-    """A deep let chain (one generalization per binder) with ``i`` baked
-    in so every request is a fresh digest — inference dominates, which
-    is what separates the engines."""
-    lines = [f"let x0 = {i} in"]
-    lines.extend(
-        f"let x{j} = x{j-1} + {j} in" for j in range(1, ENGINE_PROGRAM_LETS)
-    )
-    lines.append(f"x{ENGINE_PROGRAM_LETS - 1}")
-    return "\n".join(lines)
 
 
 def test_service_latency_guard():
@@ -93,19 +74,6 @@ def test_service_latency_guard():
                             port, "/v1/typecheck", {"program": _distinct_program(i)}
                         )
                     )
-            for engine in ("w", "uf"):
-                for i in range(ENGINE_REQUESTS):
-                    with obs.span(f"service.typecheck_{engine}", "service"):
-                        statuses.append(
-                            _request(
-                                port,
-                                "/v1/typecheck",
-                                {
-                                    "program": _inference_heavy_program(i),
-                                    "infer_engine": engine,
-                                },
-                            )
-                        )
             for i in range(REQUESTS_PER_SCENARIO):
                 with obs.span("service.run_cold", "service"):
                     statuses.append(
@@ -126,8 +94,6 @@ def test_service_latency_guard():
         rows = []
         for scenario in (
             "service.typecheck",
-            "service.typecheck_w",
-            "service.typecheck_uf",
             "service.run_cold",
             "service.run_cached",
         ):
@@ -186,12 +152,6 @@ def test_service_latency_guard():
 
         cold = histograms["service.run_cold"]
         cached = histograms["service.run_cached"]
-        w_cold = histograms["service.typecheck_w"]
-        uf_cold = histograms["service.typecheck_uf"]
-        # The union-find engine must not be slower than the substitution
-        # engine on cold inference-heavy typechecks (it is several times
-        # faster; the strict speedup floor lives in bench_infer_engines).
-        assert uf_cold.p50 <= w_cold.p50, (uf_cold.p50, w_cold.p50)
         # Soft shape guards (the CI job running this is advisory):
         # replays skip parse/infer/evaluate, so the median must not be
         # slower than cold runs, and loopback replays are fast in any

@@ -8,10 +8,8 @@
 # Fails (non-zero exit) if any tier-1 test fails, if the memoization
 # layer no longer delivers the required >= 2x cold-vs-warm speedup, if
 # the compiled evaluation engine no longer delivers the required >= 2x
-# warm speedup over the tree evaluator, if the vectorized engine no
-# longer delivers >= 2x over compiled in aggregate at p >= 16 on the
-# costed scaling suite (all with bit-identical BspCost tables and
-# trace signatures), if the union-find inference engine no longer
+# warm speedup over the tree evaluator (with bit-identical BspCost
+# tables and trace signatures), if the union-find inference engine no longer
 # delivers >= 5x over the substitution engine at AST size >= 500 (with
 # bit-identical types, constraints, derivations and errors), or if
 # disabled metrics cost more than 1.05x of the uninstrumented machine.
@@ -27,7 +25,7 @@ python -m pytest -x -q
 echo "== solver-cache speedup guard =="
 python -m pytest benchmarks/bench_solver_cache.py -q --benchmark-disable
 
-echo "== compiled + vectorized engine speedup guards =="
+echo "== compiled engine speedup guard =="
 python -m pytest benchmarks/bench_evaluators.py -q --benchmark-disable
 
 echo "== union-find inference engine speedup guard =="

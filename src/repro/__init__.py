@@ -61,7 +61,6 @@ def _to_expr(program: Union[str, Expr]) -> Expr:
 def typecheck(
     program: Union[str, Expr],
     use_prelude: bool = True,
-    infer_engine: str = None,
 ) -> ConstrainedType:
     """Parse (if needed) and infer the constrained type of a program.
 
@@ -69,22 +68,18 @@ def typecheck(
     library environment (``bcast``, ``scan``, ...).  Raises
     :class:`repro.core.NestingError` (a :class:`TypingError`) when the
     locality constraints reject the program.
-
-    ``infer_engine`` picks the inference engine (``w`` or ``uf``); the
-    result is engine-independent — ``uf`` (the default) is just faster.
     """
     env = prelude_env() if use_prelude else None
-    return infer(_to_expr(program), env, engine=infer_engine)
+    return infer(_to_expr(program), env)
 
 
 def typecheck_scheme(
     program: Union[str, Expr],
     use_prelude: bool = True,
-    infer_engine: str = None,
 ) -> TypeScheme:
     """Like :func:`typecheck` but generalized to a type scheme."""
     env = prelude_env() if use_prelude else None
-    return infer_scheme(_to_expr(program), env, engine=infer_engine)
+    return infer_scheme(_to_expr(program), env)
 
 
 def run_program(
@@ -97,19 +92,12 @@ def run_program(
     backend: str = "seq",
     faults=None,
     retry=None,
-    engine: str = "tree",
-    infer_engine: str = None,
 ) -> CostedResult:
     """Typecheck (unless ``typed=False``) and run a program with costs.
 
     ``backend`` picks the execution backend (``seq``, ``thread``,
     ``process``) for the per-process computation phases; the value and
     the abstract cost are backend-independent.
-
-    ``engine`` picks the evaluation engine (``tree`` or ``compiled``);
-    values, costs and traces are engine-independent too — ``compiled``
-    is just faster.  ``infer_engine`` likewise picks the type-inference
-    engine (``w`` or ``uf``) without changing what is accepted.
 
     ``faults``/``retry`` optionally arm a deterministic
     :class:`repro.bsp.FaultPlan` and :class:`repro.bsp.RetryPolicy`:
@@ -121,7 +109,7 @@ def run_program(
     """
     expr = _to_expr(program)
     if typed:
-        typecheck(expr, use_prelude=use_prelude, infer_engine=infer_engine)
+        typecheck(expr, use_prelude=use_prelude)
     runnable = with_prelude(expr) if use_prelude else expr
     return run_costed(
         runnable,
@@ -129,7 +117,6 @@ def run_program(
         backend=backend,
         faults=faults,
         retry=retry,
-        engine=engine,
     )
 
 

@@ -18,10 +18,10 @@ import sys
 from typing import Optional, Sequence
 
 from repro import obs, perf, run_program, typecheck_scheme
-from repro.core import INFER_ENGINES, TypingError, explain as explain_expr
+from repro.core import TypingError, explain as explain_expr
 from repro.lang import ParseError, parse_program, pretty, with_prelude
 from repro.lang.errors import ReproError
-from repro.semantics import ENGINES, StuckError, trace as smallstep_trace
+from repro.semantics import StuckError, trace as smallstep_trace
 
 
 def _load(args: argparse.Namespace):
@@ -54,21 +54,11 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="like --stats but also list registered caches with zero calls",
     )
-    parser.add_argument(
-        "--infer-engine",
-        choices=INFER_ENGINES,
-        default=None,
-        help="type-inference engine: uf (union-find, near-linear; the "
-        "default) or w (substitution-threading reference); inferred "
-        "types, constraints and errors are engine-independent",
-    )
 
 
 def _command_typecheck(args: argparse.Namespace) -> int:
     expr = _load(args)
-    scheme = typecheck_scheme(
-        expr, use_prelude=not args.no_prelude, infer_engine=args.infer_engine
-    )
+    scheme = typecheck_scheme(expr, use_prelude=not args.no_prelude)
     print(scheme)
     if args.effects:
         from repro.core.effects import analyze_effects
@@ -117,8 +107,6 @@ def _traced_run(args: argparse.Namespace):
             backend=args.backend,
             faults=faults,
             retry=retry,
-            engine=args.engine,
-            infer_engine=args.infer_engine,
         )
 
     trace_path = getattr(args, "trace", None)
@@ -156,8 +144,6 @@ def _command_profile(args: argparse.Namespace) -> int:
             backend=args.backend,
             faults=faults,
             retry=retry,
-            engine=args.engine,
-            infer_engine=args.infer_engine,
         )
     print(result.python_value)
     print(result.render())
@@ -254,15 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(value and abstract cost are backend-independent)",
     )
     run.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="tree",
-        help="evaluation engine: tree (big-step interpreter), compiled "
-        "(closure-compiling, slot-indexed environments) or vectorized "
-        "(compiled closures batched over all p pids per superstep); "
-        "value, cost and trace are engine-independent",
-    )
-    run.add_argument(
         "--faults",
         metavar="SPEC",
         help="arm deterministic fault injection, e.g. "
@@ -290,12 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("seq", "thread", "process"),
         default="seq",
         help="execution backend for the per-process computation phases",
-    )
-    profile.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="tree",
-        help="evaluation engine for the profiled run",
     )
     profile.add_argument(
         "--faults",
@@ -367,19 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="initial execution backend (also :backend in the session)",
     )
     repl.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="tree",
-        help="initial evaluation engine (also :engine in the session)",
-    )
-    repl.add_argument(
-        "--infer-engine",
-        choices=INFER_ENGINES,
-        default=None,
-        help="initial type-inference engine (also :infer-engine in the "
-        "session); results are engine-independent, uf is just faster",
-    )
-    repl.add_argument(
         "--faults",
         metavar="SPEC",
         help="arm deterministic fault injection for the session "
@@ -416,19 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("seq", "thread", "process"),
         default="seq",
         help="default execution backend (requests may override)",
-    )
-    serve.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="tree",
-        help="default evaluation engine (requests may override)",
-    )
-    serve.add_argument(
-        "--infer-engine",
-        choices=INFER_ENGINES,
-        default=None,
-        help="default type-inference engine (requests may override); "
-        "results are engine-independent, uf is just faster",
     )
     serve.add_argument(
         "--max-concurrency",
@@ -470,8 +415,6 @@ def _command_repl(args: argparse.Namespace) -> int:
         fault_spec=args.faults,
         trace_file=args.trace,
         trace_format=args.trace_format,
-        engine=args.engine,
-        infer_engine=args.infer_engine,
     )
 
 
@@ -485,8 +428,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         g=args.g,
         l=args.l,
         backend=args.backend,
-        engine=args.engine,
-        infer_engine=args.infer_engine or "uf",
         cache_capacity=args.cache_capacity,
         metrics=not args.no_metrics,
     )
@@ -502,7 +443,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving mini-BSML on http://{server.host}:{server.port} "
-            f"(p={config.p}, backend={config.backend}, engine={config.engine}, "
+            f"(p={config.p}, backend={config.backend}, "
             f"max-concurrency={server.max_concurrency})",
             file=sys.stderr,
         )

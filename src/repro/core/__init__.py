@@ -59,11 +59,9 @@ from repro.core.infer import (
     Derivation,
     INFER_ENGINES,
     Inferencer,
-    get_infer_engine,
     infer,
     infer_scheme,
     infer_with_derivation,
-    set_default_infer_engine,
     typechecks,
 )
 from repro.core.uf import UFInferencer, UnionFind
@@ -182,7 +180,6 @@ __all__ = [
     "free_type_vars",
     "fresh_tvar",
     "generalize",
-    "get_infer_engine",
     "has_nested_par",
     "imp",
     "infer",
@@ -210,7 +207,6 @@ __all__ = [
     "render_type",
     "satisfying_assignments",
     "scheme_of",
-    "set_default_infer_engine",
     "simplify",
     "solve",
     "subst_constraint",

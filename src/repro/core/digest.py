@@ -8,7 +8,7 @@ SHA-256 over a canonical s-expression rendering of the parsed tree —
 dataclass fields in declaration order, source locations excluded — and
 :func:`program_digest` mixes in every execution parameter that changes
 the observable result (machine size, BSP cost parameters, backend,
-engine, fault plan, typed/untyped mode, prelude).
+fault plan, typed/untyped mode, prelude).
 
 The rendering walks the dataclass fields generically, so new AST node
 kinds digest correctly without this module changing; field *names* are
@@ -100,7 +100,6 @@ def program_digest(
     g: Union[int, float] = 1,
     l: Union[int, float] = 1,
     backend: str = "seq",
-    engine: str = "tree",
     faults: Optional[str] = None,
     typed: bool = True,
     use_prelude: bool = True,
@@ -119,7 +118,6 @@ def program_digest(
         f"g={g}",
         f"l={l}",
         f"backend={backend}",
-        f"engine={engine}",
         f"faults={faults or ''}",
         f"typed={typed}",
         f"prelude={use_prelude}",

@@ -19,7 +19,6 @@ judgements of Figures 8, 9 and 10 can be rendered verbatim.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -475,38 +474,18 @@ def raise_nesting(
 # -- engine selection ------------------------------------------------------
 
 #: Inference engines: ``w`` is this module's substitution-threading
-#: Algorithm W (the reference); ``uf`` is the union-find engine of
-#: :mod:`repro.core.uf` (the default — near-linear, bit-identical output,
-#: held to conformance by the differential harness).
+#: Algorithm W (the Fig. 7 reference, kept as a test oracle); ``uf`` is
+#: the union-find engine of :mod:`repro.core.uf` (the default — near-
+#: linear, bit-identical output, held to conformance by the differential
+#: harness).
 INFER_ENGINES = ("w", "uf")
 
-_default_infer_engine = os.environ.get("REPRO_INFER_ENGINE", "uf")
 
-
-def _validated_infer_engine(name: str) -> str:
-    if name not in INFER_ENGINES:
+def _use_uf(engine: str) -> bool:
+    if engine not in INFER_ENGINES:
         known = ", ".join(INFER_ENGINES)
-        raise ValueError(f"unknown infer engine {name!r} (known: {known})")
-    return name
-
-
-def get_infer_engine() -> str:
-    """The session-default inference engine (``REPRO_INFER_ENGINE`` or ``uf``)."""
-    return _validated_infer_engine(_default_infer_engine)
-
-
-def set_default_infer_engine(name: str) -> str:
-    """Set the session-default inference engine; returns the previous one."""
-    global _default_infer_engine
-    previous = _default_infer_engine
-    _default_infer_engine = _validated_infer_engine(name)
-    return previous
-
-
-def _resolve_infer_engine(engine: Optional[str]) -> str:
-    if engine is None:
-        return get_infer_engine()
-    return _validated_infer_engine(engine)
+        raise ValueError(f"unknown infer engine {engine!r} (known: {known})")
+    return engine == "uf"
 
 
 # -- public entry points ---------------------------------------------------
@@ -516,7 +495,7 @@ def infer(
     expr: Expr,
     env: Optional[TypeEnv] = None,
     prune: bool = True,
-    engine: Optional[str] = None,
+    engine: str = "uf",
 ) -> ConstrainedType:
     """Infer the constrained type of ``expr``.
 
@@ -530,9 +509,10 @@ def infer(
 
     ``engine`` picks the implementation (:data:`INFER_ENGINES`); both
     produce bit-identical results — ``uf`` (the default) in near-linear
-    time, ``w`` as the straightforward reference.
+    time, ``w`` as the Fig. 7 reference the conformance sweeps compare
+    against.
     """
-    if _resolve_infer_engine(engine) == "uf":
+    if _use_uf(engine):
         from repro.core import uf
 
         return uf.infer(expr, env, prune=prune)
@@ -551,14 +531,14 @@ def infer_with_derivation(
     expr: Expr,
     env: Optional[TypeEnv] = None,
     prune: bool = False,
-    engine: Optional[str] = None,
+    engine: str = "uf",
 ) -> Tuple[ConstrainedType, Derivation]:
     """Like :func:`infer` but also returns the full derivation tree.
 
     Pruning defaults to off so the derivation shows exactly the
     constraints the paper's rules accumulate (Figures 8-10).
     """
-    if _resolve_infer_engine(engine) == "uf":
+    if _use_uf(engine):
         from repro.core import uf
 
         return uf.infer_with_derivation(expr, env, prune=prune)
@@ -573,7 +553,7 @@ def infer_scheme(
     expr: Expr,
     env: Optional[TypeEnv] = None,
     prune: bool = True,
-    engine: Optional[str] = None,
+    engine: str = "uf",
 ) -> TypeScheme:
     """Infer and generalize over the (empty by default) environment."""
     environment = env or TypeEnv.empty()
@@ -582,7 +562,7 @@ def infer_scheme(
 
 
 def typechecks(
-    expr: Expr, env: Optional[TypeEnv] = None, engine: Optional[str] = None
+    expr: Expr, env: Optional[TypeEnv] = None, engine: str = "uf"
 ) -> bool:
     """True when ``expr`` is accepted by the type system."""
     try:

@@ -18,7 +18,7 @@ Three sources feed the registry:
   isolated in their :mod:`contextvars`, while the metrics aggregate
   across every request of the process;
 * the **service layer** — :mod:`repro.service.server` observes
-  per-route/engine/backend request latency and maintains the admission
+  per-route/backend request latency and maintains the admission
   gauges; :mod:`repro.service.cache` counts response-cache hits;
 * the **perf layer** — :mod:`repro.perf.bridge` contributes scrape-time
   samples for every registered solver cache and intern pool.
@@ -482,11 +482,11 @@ class MetricsRegistry:
 
 _GLOBAL = MetricsRegistry()
 
-#: Request latency by logical route, engine, backend and cache outcome.
+#: Request latency by logical route, backend and cache outcome.
 REQUEST_SECONDS = _GLOBAL.histogram(
     "repro_request_seconds",
     "Service request latency in seconds.",
-    ("route", "engine", "backend", "cache"),
+    ("route", "backend", "cache"),
 )
 
 #: Requests by route and HTTP status (429 rejections included).

@@ -20,13 +20,6 @@ Meta-commands::
                      metrics (:metrics on|off toggles collection,
                      :metrics reset zeroes every series)
     :backend [name]  show or switch the execution backend (seq/thread/process)
-    :engine [name]   show or switch the evaluation engine
-                     (tree/compiled/vectorized); value, cost and trace
-                     are engine-independent
-    :infer-engine [name]
-                     show or switch the type-inference engine (w/uf);
-                     inferred types, constraints and errors are
-                     engine-independent — uf is just faster
     :faults [SPEC]   show, arm (e.g. seed=42,crash=0.1,attempts=4) or
                      disarm (:faults off) deterministic fault injection
     :reset           forget definitions and cost
@@ -52,7 +45,7 @@ from repro.bsp.executor import BACKENDS, get_executor
 from repro.bsp.faults import FaultSpecError, parse_fault_spec
 from repro.bsp.machine import BspMachine
 from repro.bsp.params import BspParams
-from repro.core.infer import INFER_ENGINES, get_infer_engine, infer
+from repro.core.infer import infer
 from repro.core.judgments import explain
 from repro.core.prelude_env import prelude_env
 from repro.core.schemes import TypeEnv, generalize
@@ -63,7 +56,7 @@ from repro.lang.parser import _Parser
 from repro.lang.prelude import prelude_map, with_prelude
 from repro.lang.pretty import pretty
 from repro.lang.substitution import free_vars, substitute
-from repro.semantics.compiled import ENGINES, get_engine
+from repro.semantics.compiled import CompiledEvaluator
 from repro.semantics.errors import EvalError
 from repro.semantics.smallstep import trace as smallstep_trace
 from repro.semantics.values import Value, reify
@@ -77,13 +70,9 @@ class Session:
         params: Optional[BspParams] = None,
         backend: str = "seq",
         fault_spec: Optional[str] = None,
-        engine: str = "tree",
-        infer_engine: Optional[str] = None,
     ) -> None:
         self.params = params or BspParams(p=4, g=1.0, l=20.0)
         self.backend = backend
-        self.engine = engine
-        self.infer_engine = infer_engine or get_infer_engine()
         #: The armed ``:faults`` spec (re-armed with a fresh plan, same
         #: seed, on every :meth:`reset`); None when faults are off.
         self.fault_spec = fault_spec
@@ -103,12 +92,11 @@ class Session:
         if self.fault_spec:
             plan, policy = parse_fault_spec(self.fault_spec)
             self.machine.arm_faults(plan, policy)
-        engine_cls = get_engine(self.engine)
-        self.evaluator = engine_cls(self.params.p, self.machine)
+        self.evaluator = CompiledEvaluator(self.params.p, self.machine)
         self.type_env: TypeEnv = prelude_env()
         self.values: Dict[str, Value] = {}
         for name, body in prelude_map().items():
-            self.values[name] = engine_cls(self.params.p).eval(
+            self.values[name] = CompiledEvaluator(self.params.p).eval(
                 with_prelude(body)
             )
         self.definitions: Dict[str, str] = {}
@@ -139,7 +127,7 @@ class Session:
             return False
         if command == ":type":
             expr = self._parse_expr(rest)
-            ct = infer(expr, self.type_env, engine=self.infer_engine)
+            ct = infer(expr, self.type_env)
             print(f"- : {generalize(ct, self.type_env)}", file=out)
             return True
         if command == ":explain":
@@ -189,51 +177,6 @@ class Session:
             print(
                 f"backend switched to {self.machine.executor.name} "
                 "(definitions and accumulated cost carry over)",
-                file=out,
-            )
-            return True
-        if command == ":engine":
-            if not rest:
-                print(
-                    f"engine: {self.engine} (available: {', '.join(ENGINES)})",
-                    file=out,
-                )
-                return True
-            try:
-                engine_cls = get_engine(rest)
-            except ValueError as error:
-                print(f"error: {error}", file=out)
-                return True
-            self.engine = rest
-            # Only the evaluator changes; machine, definitions and
-            # accumulated cost carry over (both engines apply each
-            # other's closures, so mixed-engine values keep working).
-            self.evaluator = engine_cls(self.params.p, self.machine)
-            print(
-                f"engine switched to {rest} "
-                "(definitions and accumulated cost carry over)",
-                file=out,
-            )
-            return True
-        if command == ":infer-engine":
-            if not rest:
-                print(
-                    f"infer-engine: {self.infer_engine} "
-                    f"(available: {', '.join(INFER_ENGINES)})",
-                    file=out,
-                )
-                return True
-            if rest not in INFER_ENGINES:
-                known = ", ".join(INFER_ENGINES)
-                print(
-                    f"error: unknown infer engine {rest!r} (known: {known})",
-                    file=out,
-                )
-                return True
-            self.infer_engine = rest
-            print(
-                f"infer-engine switched to {rest} "
-                "(types, constraints and errors are engine-independent)",
                 file=out,
             )
             return True
@@ -290,7 +233,7 @@ class Session:
             print(f"machine restarted: {self.params.describe()}", file=out)
             return True
         print(f"unknown command {command!r} (try :type :explain :trace :cost "
-              ":stats :metrics :backend :engine :infer-engine :faults :reset "
+              ":stats :metrics :backend :faults :reset "
               ":env :p :quit)",
               file=out)
         return True
@@ -403,7 +346,7 @@ class Session:
     def _program(self, line: str, out: TextIO) -> None:
         definitions, final = self._parse_program(line)
         for name, body in definitions:
-            ct = infer(body, self.type_env, engine=self.infer_engine)
+            ct = infer(body, self.type_env)
             scheme = generalize(ct, self.type_env)
             value = self.evaluator.eval(body, dict(self.values))
             self.type_env = self.type_env.extend(name, scheme)
@@ -411,7 +354,7 @@ class Session:
             self.definitions[name] = pretty(body)
             print(f"val {name} : {scheme} = {self._show(value)}", file=out)
         if final is not None:
-            ct = infer(final, self.type_env, engine=self.infer_engine)
+            ct = infer(final, self.type_env)
             value = self.evaluator.eval(final, dict(self.values))
             print(f"- : {ct} = {self._show(value)}", file=out)
 
@@ -452,8 +395,6 @@ def run_repl(
     fault_spec: Optional[str] = None,
     trace_file: Optional[str] = None,
     trace_format: Optional[str] = None,
-    engine: str = "tree",
-    infer_engine: Optional[str] = None,
 ) -> int:
     """Run the REPL loop until EOF or ``:quit``.
 
@@ -470,13 +411,7 @@ def run_repl(
     """
     stdin = input_stream if input_stream is not None else sys.stdin
     out = output_stream if output_stream is not None else sys.stdout
-    session = Session(
-        params,
-        backend=backend,
-        fault_spec=fault_spec,
-        engine=engine,
-        infer_engine=infer_engine,
-    )
+    session = Session(params, backend=backend, fault_spec=fault_spec)
     if trace_file:
         session.trace_collector = obs.start()
     interactive = stdin.isatty() if hasattr(stdin, "isatty") else False

@@ -199,9 +199,10 @@ class Evaluator:
         if isinstance(fn, VClosure):
             return self._eval(fn.body, {**fn.env, fn.param: arg})
         if isinstance(fn, VCompiledClosure):
-            # Engine interop (REPL sessions can mix engines): run the
-            # compiled closure with this evaluator's context so charges
-            # land exactly where the tree evaluator would put them.
+            # Engine interop (an oracle may hand this evaluator values
+            # the compiled engine built): run the compiled closure with
+            # this evaluator's context so charges land exactly where the
+            # tree evaluator would put them.
             from repro.semantics.compiled import call_compiled
 
             return call_compiled(self, fn, arg)

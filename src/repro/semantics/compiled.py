@@ -104,12 +104,11 @@ from repro.semantics.values import (
     words,
 )
 
-#: The selectable evaluation engines, in documentation order.  ``tree``
-#: is the environment-passing big-step evaluator (the default and the
-#: reference); ``compiled`` is this module's engine; ``vectorized``
-#: (:mod:`repro.semantics.vectorized`) runs compiled closures once over
-#: a length-p vector of frames.
-ENGINES = ("tree", "compiled", "vectorized")
+#: The evaluation engines, in documentation order.  ``tree`` is the
+#: environment-passing big-step evaluator (the cost oracle the
+#: conformance sweeps compare against); ``compiled`` is this module's
+#: engine and the product default.
+ENGINES = ("tree", "compiled")
 
 
 def get_engine(name: str):
@@ -123,11 +122,6 @@ def get_engine(name: str):
         return Evaluator
     if name == "compiled":
         return CompiledEvaluator
-    if name == "vectorized":
-        # Imported lazily: vectorized builds on this module.
-        from repro.semantics.vectorized import VectorizedEvaluator
-
-        return VectorizedEvaluator
     raise ValueError(
         f"unknown engine {name!r} (choose from {', '.join(ENGINES)})"
     )
@@ -175,20 +169,6 @@ class _Runtime:
     def require_global(self, operation: str) -> None:
         if self.proc is not None:
             raise DynamicNestingError(Prim(operation), self.proc)
-
-    # The parallel primitives dispatch through these overridable hooks
-    # so an engine can substitute its own superstep strategy (the
-    # vectorized engine batches the per-component applications) without
-    # re-deriving the primitive dispatch above them.
-
-    def mkpar(self, fn: Value) -> Value:
-        return _mkpar(self, fn)
-
-    def parallel_apply(self, arg: Value) -> Value:
-        return _parallel_apply(self, arg)
-
-    def put(self, arg: Value) -> Value:
-        return _put(self, arg)
 
 
 # -- compile-time scope -------------------------------------------------------
@@ -256,8 +236,7 @@ def fold_constant(expr: Expr, p: int) -> Optional[Tuple[Value, float]]:
     charged are counted by a counting shadow evaluator.  If compile-time
     evaluation raises *anything*, folding is abandoned so the error
     still happens at run time, exactly when the tree engine reaches it
-    (or never, in an untaken branch).  Shared with the vectorized
-    engine, which broadcasts the folded value across all lanes.
+    (or never, in an untaken branch).
     """
     if isinstance(expr, (Const, Var, Prim, Fun)):
         return None  # leaves compile to direct steps already
@@ -655,10 +634,10 @@ def _apply_prim_value(rt: _Runtime, name: str, arg: Value) -> Value:
     if name in PARALLEL_PRIMS:
         rt.require_global(name)
         if name == "mkpar":
-            return rt.mkpar(arg)
+            return _mkpar(rt, arg)
         if name == "apply":
-            return rt.parallel_apply(arg)
-        return rt.put(arg)
+            return _parallel_apply(rt, arg)
+        return _put(rt, arg)
     raise EvalError(f"unknown primitive {name!r}")
 
 

@@ -51,7 +51,7 @@ def run_costed(
     backend: str = "seq",
     faults=None,
     retry=None,
-    engine: str = "tree",
+    engine: str = "compiled",
 ) -> CostedResult:
     """Evaluate ``expr`` at size ``params.p`` with full cost accounting.
 
@@ -61,12 +61,11 @@ def run_costed(
     identical on every backend — the differential harness in
     :mod:`repro.testing.differential` enforces exactly that.
 
-    ``engine`` selects the evaluation engine: ``tree`` (the
-    environment-passing big-step evaluator, the default), ``compiled``
-    (the closure-compiling engine of :mod:`repro.semantics.compiled`) or
-    ``vectorized`` (compiled closures batched over all p pids per
-    superstep, :mod:`repro.semantics.vectorized`).  Values, costs, and
-    trace signatures are engine-independent by construction — the
+    ``engine`` selects the evaluation engine: ``compiled`` (the
+    closure-compiling engine of :mod:`repro.semantics.compiled`, the
+    product default) or ``tree`` (the environment-passing big-step
+    evaluator, kept as the cost oracle).  Values, costs, and trace
+    signatures are engine-independent by construction — the
     ``check_engines`` differential mode enforces it.
 
     ``faults``/``retry`` arm a :class:`~repro.bsp.faults.FaultPlan` and
@@ -97,7 +96,7 @@ def run_source(
     backend: str = "seq",
     faults=None,
     retry=None,
-    engine: str = "tree",
+    engine: str = "compiled",
 ) -> CostedResult:
     """Parse a program (definitions + final expression) and run it costed."""
     return run_costed(

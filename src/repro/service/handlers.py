@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from repro.core.constraints import TRUE, constraint_atoms, render_constraint
 from repro.core.digest import expr_digest, program_digest
 from repro.core.errors import TypingError
 from repro.core.incremental import Definition, IncrementalChecker
-from repro.core.infer import INFER_ENGINES, infer
+from repro.core.infer import infer
 from repro.core.prelude_env import prelude_env
 from repro.core.schemes import ConstrainedType, TypeEnv, generalize
 from repro.core.types import _variable_display_names, intern_pool_stats, render_type
@@ -39,15 +40,9 @@ from repro.lang import parse_program, pretty, with_prelude
 from repro.lang.ast import Expr, Let
 from repro.lang.errors import ParseError, ReproError
 from repro.lang.limits import deep_recursion
-from repro.semantics import ENGINES, CostedResult, StuckError, run_costed
+from repro.semantics import CostedResult, StuckError, run_costed
 from repro.semantics.values import reify
 from repro.service.cache import ShardedCache
-
-#: Execution knobs a request may override, with the service defaults.
-_REQUEST_KNOBS = (
-    "p", "g", "l", "backend", "engine", "infer_engine", "typed", "prelude"
-)
-
 
 @dataclass
 class ServiceConfig:
@@ -57,9 +52,11 @@ class ServiceConfig:
     g: float = 1.0
     l: float = 20.0
     backend: str = "seq"
-    engine: str = "tree"
-    #: Type-inference engine (``w`` or ``uf``); responses are
-    #: engine-independent, ``uf`` is just faster on cold typechecks.
+    #: Evaluation and type-inference engines.  Every engine answers
+    #: bit-identically, so no request field selects one; the reference
+    #: engines (``tree``, ``w``) are set here only by conformance
+    #: oracles that build their own cores.
+    engine: str = "compiled"
     infer_engine: str = "uf"
     cache_capacity: int = 1024
     cache_shards: int = 8
@@ -229,36 +226,27 @@ class ServiceCore:
             "g": payload.get("g", config.g),
             "l": payload.get("l", config.l),
             "backend": payload.get("backend", config.backend),
-            "engine": payload.get("engine", config.engine),
-            "infer_engine": payload.get("infer_engine", config.infer_engine),
             "typed": payload.get("typed", True),
             "prelude": payload.get("prelude", True),
             "faults": payload.get("faults"),
         }
-        if not isinstance(options["p"], int) or options["p"] < 1:
-            raise RequestError(400, "bad-request", f"p must be a positive int, got {options['p']!r}")
+        p = options["p"]
+        if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+            raise RequestError(400, "bad-request", f"p must be a positive int, got {p!r}")
         for knob in ("g", "l"):
-            if not isinstance(options[knob], (int, float)) or options[knob] < 0:
+            value = options[knob]
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value < 0
+            ):
                 raise RequestError(
-                    400, "bad-request", f"{knob} must be a non-negative number"
+                    400, "bad-request", f"{knob} must be a finite non-negative number"
                 )
         for knob in ("typed", "prelude"):
             if not isinstance(options[knob], bool):
                 raise RequestError(400, "bad-request", f"{knob} must be a boolean")
-        if options["engine"] not in ENGINES:
-            raise RequestError(
-                400,
-                "bad-request",
-                f"engine must be one of {', '.join(ENGINES)}, "
-                f"got {options['engine']!r}",
-            )
-        if options["infer_engine"] not in INFER_ENGINES:
-            raise RequestError(
-                400,
-                "bad-request",
-                f"infer_engine must be one of {', '.join(INFER_ENGINES)}, "
-                f"got {options['infer_engine']!r}",
-            )
         if options["faults"] is not None and not isinstance(options["faults"], str):
             raise RequestError(400, "bad-request", "faults must be a spec string")
         return options
@@ -273,19 +261,14 @@ class ServiceCore:
             expr,
             p=options["p"],
             use_prelude=options["prelude"],
-            extra={
-                "endpoint": "typecheck",
-                # The engines answer bit-identically, but each caches its
-                # own entry so per-engine cold latencies stay measurable.
-                "infer_engine": options["infer_engine"],
-            },
+            extra={"endpoint": "typecheck"},
         )
         cached = self.cache.get(digest)
         if cached is not None:
             return 200, cached, "hit"
         env = prelude_env() if options["prelude"] else TypeEnv.empty()
         try:
-            ct = infer(expr, env, engine=options["infer_engine"])
+            ct = infer(expr, env, engine=self.config.infer_engine)
         except TypingError as error:
             raise RequestError(422, "type", str(error)) from error
         type_text, constraint_text = _render_constrained(ct)
@@ -311,7 +294,6 @@ class ServiceCore:
             g=options["g"],
             l=options["l"],
             backend=options["backend"],
-            engine=options["engine"],
             faults=options["faults"],
             typed=options["typed"],
             use_prelude=options["prelude"],
@@ -337,7 +319,7 @@ class ServiceCore:
         if options["typed"]:
             env = prelude_env() if options["prelude"] else None
             try:
-                ct = infer(expr, env, engine=options["infer_engine"])
+                ct = infer(expr, env, engine=self.config.infer_engine)
             except TypingError as error:
                 raise RequestError(422, "type", str(error)) from error
             type_text, constraint_text = _render_constrained(ct)
@@ -345,27 +327,21 @@ class ServiceCore:
         runnable = with_prelude(expr) if options["prelude"] else expr
         params = BspParams(p=options["p"], g=options["g"], l=options["l"])
         trace_window = obs.trace() if self.config.trace_summaries else None
+        run = lambda: run_costed(
+            runnable,
+            params,
+            backend=options["backend"],
+            faults=faults,
+            retry=retry,
+            engine=self.config.engine,
+        )
         try:
             if trace_window is not None:
                 with trace_window as collected:
-                    result = run_costed(
-                        runnable,
-                        params,
-                        backend=options["backend"],
-                        faults=faults,
-                        retry=retry,
-                        engine=options["engine"],
-                    )
+                    result = run()
                 trace_summary = obs.summarize(collected)
             else:
-                result = run_costed(
-                    runnable,
-                    params,
-                    backend=options["backend"],
-                    faults=faults,
-                    retry=retry,
-                    engine=options["engine"],
-                )
+                result = run()
                 trace_summary = None
         except StuckError as error:
             raise RequestError(422, "stuck", str(error)) from error
@@ -441,7 +417,6 @@ class ServiceCore:
             g=options["g"],
             l=options["l"],
             backend=options["backend"],
-            engine=options["engine"],
             faults=options["faults"],
             typed=options["typed"],
             use_prelude=options["prelude"],

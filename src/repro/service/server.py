@@ -23,7 +23,7 @@ Routes::
     GET  /v1/stats                   counters, cache + intern-pool sizes
     POST /v1/typecheck               {program, p?, prelude?}
     POST /v1/run                     {program, p?, g?, l?, backend?,
-                                      engine?, faults?, typed?, prelude?}
+                                      faults?, typed?, prelude?}
     POST /v1/session                 {prelude?} -> {session}
     GET  /v1/session/<sid>           definitions + chain-cache size
     POST /v1/session/<sid>/define    {name, source} -> per-def schemes
@@ -43,7 +43,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.bsp.executor import BACKENDS
 from repro.obs import metrics
-from repro.semantics import ENGINES
 from repro.service.handlers import RequestError, ServiceConfig, ServiceCore, serialize
 
 #: Parser caps — requests breaching them are answered 400/413/431.
@@ -400,20 +399,17 @@ class ReproServer:
                     metrics.INFLIGHT_REQUESTS.dec()
 
     @staticmethod
-    def _request_labels(payload: Dict[str, Any]) -> Tuple[str, str]:
-        """Bounded (engine, backend) labels for the latency histogram.
+    def _backend_label(payload: Dict[str, Any]) -> str:
+        """Bounded backend label for the latency histogram.
 
-        Values are client-supplied, so anything outside the known engine
-        and backend vocabularies is bucketed as ``other`` — one bad (or
+        The value is client-supplied, so anything outside the known
+        backend vocabulary is bucketed as ``other`` — one bad (or
         adversarial) client must not mint unbounded label cardinality.
         """
-        engine = payload.get("engine", "-")
         backend = payload.get("backend", "-")
-        if engine != "-" and engine not in ENGINES:
-            engine = "other"
         if backend != "-" and backend not in BACKENDS:
             backend = "other"
-        return str(engine), str(backend)
+        return str(backend)
 
     async def _offload(
         self,
@@ -456,12 +452,10 @@ class ReproServer:
                 )
             finally:
                 if recording:
-                    engine, backend = self._request_labels(payload)
                     metrics.REQUEST_SECONDS.observe(
                         time.perf_counter() - started,
                         route=route,
-                        engine=engine,
-                        backend=backend,
+                        backend=self._backend_label(payload),
                         cache=cache_state or "-",
                     )
                     metrics.REQUESTS_TOTAL.inc(route=route, status=str(status))

@@ -18,8 +18,8 @@ Milner-baseline comparison.
 The ``divergence`` knob weights booleans generated inside vector
 components toward comparisons on the component's own pid, and lets a
 ``let`` bind whole vectors, so sweeps can target pid-divergent control
-flow and mixed uniform/divergent supersteps — the workload that forces
-an SPMD-batched engine through its peeling path.  ``partial_failure``
+flow and mixed uniform/divergent supersteps, where each process takes
+its own branch inside one superstep.  ``partial_failure``
 emits the one deliberate exception to the no-``/`` rule: a program
 where exactly one pid divides by zero, for per-pid error-parity sweeps.
 
@@ -204,8 +204,8 @@ class ProgramGenerator:
         self.p_hint = max(1, p_hint)
         #: Probability that a boolean generated inside a vector
         #: component is a comparison on the component's own pid —
-        #: pid-divergent control flow that forces an SPMD engine off
-        #: the uniform batch path.  The default 0.0 draws nothing from
+        #: pid-divergent control flow, so processes take different
+        #: branches in one superstep.  The default 0.0 draws nothing from
         #: the RNG, so existing seeded sweeps are unchanged.
         self.divergence = divergence
         self._pids: List[str] = []
@@ -319,7 +319,7 @@ class ProgramGenerator:
     def _pid_branch(self) -> Expr:
         """A boolean on the innermost component's pid: true on some
         strict-subset of the processes (almost always), so ``if``/``case``
-        scrutinees built from it split the lanes of a batched engine."""
+        scrutinees built from it split the processes between branches."""
         pid = Var(self._pids[-1])
         kind = self.rng.random()
         bound = Const(self.rng.randrange(self.p_hint + 1))
@@ -437,8 +437,8 @@ class ProgramGenerator:
     def partial_failure(self, depth: int = 3) -> Expr:
         """A well-typed parallel program in which exactly one pid raises
         (division by zero) while the others compute normally — the
-        error-parity workload for a batched engine's kill/fallback lane:
-        every engine must surface the same error at the same superstep,
+        per-pid error-parity workload: every engine must surface the
+        same error at the same superstep,
         committing nothing from the failed superstep into the cost."""
         victim = self.rng.randrange(self.p_hint)
         scope = _Scope()

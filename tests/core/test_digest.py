@@ -59,7 +59,6 @@ def test_program_digest_mixes_execution_parameters():
     assert program_digest(expr, p=4, g=3) != base
     assert program_digest(expr, p=4, l=100) != base
     assert program_digest(expr, p=4, backend="thread") != base
-    assert program_digest(expr, p=4, engine="compiled") != base
     assert program_digest(expr, p=4, faults="drop:put:0.5:seed=1") != base
     assert program_digest(expr, p=4, typed=False) != base
     assert program_digest(expr, p=4, use_prelude=False) != base

@@ -15,16 +15,12 @@ the speedup itself is guarded by ``benchmarks/bench_infer_engines.py``.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro import perf
-from repro.core.infer import (
-    INFER_ENGINES,
-    get_infer_engine,
-    infer,
-    set_default_infer_engine,
-    typechecks,
-)
+from repro.core.infer import INFER_ENGINES, infer, typechecks
 from repro.core.milner import milner_typechecks
 from repro.lang.parser import parse_expression as parse
 from repro.testing import (
@@ -44,23 +40,11 @@ class TestEngineDispatch:
         assert INFER_ENGINES == ("w", "uf")
 
     def test_default_is_union_find(self):
-        assert get_infer_engine() == "uf"
+        assert inspect.signature(infer).parameters["engine"].default == "uf"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown infer engine"):
             infer(parse("1 + 1"), engine="bogus")
-
-    def test_set_default_round_trips(self):
-        previous = set_default_infer_engine("w")
-        try:
-            assert get_infer_engine() == "w"
-        finally:
-            set_default_infer_engine(previous)
-        assert get_infer_engine() == previous
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown infer engine"):
-            set_default_infer_engine("bogus")
 
 
 class TestCorpusConformance:

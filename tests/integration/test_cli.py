@@ -57,35 +57,27 @@ class TestTypecheck:
         assert code == 1  # unbound without the prelude
 
 
-class TestInferEngineFlag:
-    @pytest.mark.parametrize("engine", ("w", "uf"))
-    def test_typecheck_same_output_per_engine(self, capsys, engine):
-        code, out, _ = run_cli(
-            capsys, "typecheck", "--infer-engine", engine, "-e",
-            "let f = fun x -> x in (f 1, f true)",
-        )
-        assert code == 0
-        assert "int * bool" in out
+class TestRemovedEngineFlags:
+    """One evaluator and one inference engine ship on the CLI: the old
+    selection flags are unknown arguments (argparse exits 2)."""
 
-    @pytest.mark.parametrize("engine", ("w", "uf"))
-    def test_rejection_identical_per_engine(self, capsys, engine):
-        code, _, err = run_cli(
-            capsys, "typecheck", "--infer-engine", engine, "-e",
-            "fst (1, mkpar (fun i -> i))",
-        )
-        assert code == 1
-        assert "nesting" in err
-
-    def test_run_accepts_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--infer-engine", "w", "-e", "1 + 2"
-        )
-        assert code == 0
-        assert "3" in out
-
-    def test_unknown_engine_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "typecheck", "--infer-engine", "turbo", "-e", "1")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "-e", "1", "--engine=compiled"),
+            ("profile", "-e", "1", "--engine=tree"),
+            ("typecheck", "-e", "1", "--infer-engine=w"),
+            ("run", "-e", "1", "--infer-engine=uf"),
+            ("repl", "--engine=compiled"),
+            ("serve", "--infer-engine=w"),
+        ],
+        ids=lambda argv: argv[0] + argv[-1].partition("=")[0],
+    )
+    def test_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as raised:
+            run_cli(capsys, *argv)
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 class TestRun:

@@ -204,37 +204,14 @@ class TestBackendCommand:
         assert "backend: thread" in out.getvalue()
 
 
-class TestInferEngineCommand:
-    def test_shows_current_and_available(self):
-        out = drive(":infer-engine")
-        assert "infer-engine: uf" in out
-        assert "(available: w, uf)" in out
-
-    def test_switch_and_same_types(self):
-        program = "let f = fun x -> x in (f 1, f true)"
-        out = drive(
-            program,
-            ":infer-engine w",
-            program,
-        )
-        assert "infer-engine switched to w" in out
-        assert out.count("- : int * bool") == 2
-
-    def test_type_command_uses_selected_engine(self):
-        for engine in ("w", "uf"):
-            out = drive(f":infer-engine {engine}", ":type fun x -> x")
-            assert "- : forall 'a. 'a -> 'a" in out
-
-    def test_unknown_engine_is_reported_not_fatal(self):
-        out = drive(":infer-engine turbo", "1 + 1")
-        assert "error: unknown infer engine" in out
+class TestRemovedEngineCommands:
+    @pytest.mark.parametrize(
+        "command", [":engine", ":engine tree", ":infer-engine", ":infer-engine w"]
+    )
+    def test_is_unknown(self, command):
+        out = drive(command, "1 + 1")
+        assert f"unknown command {command.split()[0]!r}" in out
         assert "- : int = 2" in out
-
-    def test_initial_infer_engine_parameter(self):
-        out = io.StringIO()
-        session = Session(infer_engine="w")
-        session.handle(":infer-engine", out)
-        assert "infer-engine: w" in out.getvalue()
 
 
 class TestFaultsCommand:

@@ -1,18 +1,16 @@
 """Differential property sweep for the evaluation engines: the
-closure-compiling engine (:mod:`repro.semantics.compiled`) and the
-SPMD-vectorized engine (:mod:`repro.semantics.vectorized`) must observe
-the same values, the same BspCost decomposition and the same abstract
-trace signature as the tree-walking reference — on generated programs
-(uniform and pid-divergent), on the whole shipped corpus, across every
-backend, and under armed chaos plans.  The unsafe corpus and the
-per-pid partial-failure programs must fail identically (same error
-type, same message) on every engine."""
+closure-compiling engine (:mod:`repro.semantics.compiled`, the product
+evaluator) must observe the same values, the same BspCost decomposition
+and the same abstract trace signature as the tree-walking cost oracle —
+on generated programs (uniform and pid-divergent), on the whole shipped
+corpus, across every backend, and under armed chaos plans.  The unsafe
+corpus and the per-pid partial-failure programs must fail identically
+(same error type, same message) on both engines."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import perf
 from repro.bsp.params import BspParams
 from repro.testing import (
     ProgramGenerator,
@@ -32,8 +30,8 @@ def _generated(seed):
 
 def _divergent(seed):
     """Weighted toward branch-on-pid control flow and let-bound vectors
-    (mixed uniform/divergent supersteps): the workload that drives the
-    vectorized engine off the uniform batch path into peeling."""
+    (mixed uniform/divergent supersteps), where each process takes its
+    own branch inside one superstep."""
     return ProgramGenerator(
         seed=seed, p_hint=PARAMS.p, divergence=0.7
     ).expression(depth=4)
@@ -61,8 +59,8 @@ def test_generated_program_engines_agree(seed):
 def test_divergent_program_engines_agree(seed):
     """≥100 divergence-weighted programs: pid-dependent ``if``/``case``
     scrutinees and mixed supersteps still produce identical value
-    fingerprints, BspCost superstep lists and trace signatures on all
-    three engines."""
+    fingerprints, BspCost superstep lists and trace signatures on both
+    engines."""
     expr = _divergent(seed)
     try:
         assert_engine_conformance(
@@ -74,21 +72,6 @@ def test_divergent_program_engines_agree(seed):
         )
     except AssertionError as error:  # pragma: no cover - diagnostic path
         raise AssertionError(f"seed {seed}: {error}") from error
-
-
-def test_divergent_sweep_exercises_peeling():
-    """Sanity: the divergence-weighted sweep really drives the
-    vectorized engine through its peel/fallback lanes — a sweep that
-    only ever hits the happy batch path would prove nothing about
-    divergence handling."""
-    from repro.semantics import run_costed
-
-    with perf.collect() as stats:
-        for seed in range(40):
-            run_costed(_divergent(seed), PARAMS, engine="vectorized")
-    assert stats.counter("semantics.vectorized.batched_steps") > 0
-    assert stats.counter("semantics.vectorized.peel_events") > 0
-    assert stats.counter("semantics.vectorized.fallback_pids") > 0
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -252,7 +252,7 @@ def test_compiled_program_machine_width_check():
 
 
 def test_get_engine():
-    assert ENGINES == ("tree", "compiled", "vectorized")
+    assert ENGINES == ("tree", "compiled")
     assert get_engine("tree") is Evaluator
     assert get_engine("compiled") is CompiledEvaluator
     with pytest.raises(ValueError, match="unknown engine 'x86'"):
@@ -263,45 +263,7 @@ def test_run_costed_engine_parameter():
     from repro.semantics.costed import run_costed
 
     expr = parse_expression("bcast 2 (mkpar (fun i -> i * i))")
-    tree = run_costed(expr, PARAMS, use_prelude=True)
-    compiled = run_costed(expr, PARAMS, use_prelude=True, engine="compiled")
+    tree = run_costed(expr, PARAMS, use_prelude=True, engine="tree")
+    compiled = run_costed(expr, PARAMS, use_prelude=True)
     assert compiled.python_value == tree.python_value == [4, 4, 4, 4]
     assert compiled.cost == tree.cost
-
-
-def test_cli_engine_flag(capsys):
-    from repro.cli import main
-
-    status = main(
-        [
-            "run",
-            "-e",
-            "bcast 1 (mkpar (fun i -> i + 10))",
-            "--engine",
-            "compiled",
-        ]
-    )
-    assert status == 0
-    assert capsys.readouterr().out.strip() == "[11, 11, 11, 11]"
-
-
-def test_repl_engine_command():
-    import io
-
-    from repro.repl import run_repl
-
-    out = io.StringIO()
-    source = io.StringIO(
-        "let v = mkpar (fun i -> i * i)\n"
-        ":engine compiled\n"
-        "bcast 2 v\n"
-        ":engine\n"
-        ":engine turbo\n"
-        ":quit\n"
-    )
-    assert run_repl(source, out, banner=False) == 0
-    text = out.getvalue()
-    assert "engine switched to compiled" in text
-    assert "- : int par = <4, 4, 4, 4>" in text
-    assert "engine: compiled (available: tree, compiled, vectorized)" in text
-    assert "unknown engine 'turbo'" in text

@@ -7,6 +7,7 @@ survivable fault plan armed, and while >= 8 requests are in flight.
 from __future__ import annotations
 
 import http.client
+import json
 import os
 import threading
 import time
@@ -33,11 +34,14 @@ P = 4
 
 def _reference(source: str):
     """What the service must answer for ``source``: computed with the
-    same public pipeline, sequential backend, no service involved."""
+    same public pipeline on the ``tree`` cost oracle, sequential
+    backend, no service involved."""
     expr = parse_program(source)
     ct = infer(expr, prelude_env())
     type_text, constraint_text = _render_constrained(ct)
-    result = run_costed(with_prelude(expr), BspParams(p=P, g=1.0, l=20.0))
+    result = run_costed(
+        with_prelude(expr), BspParams(p=P, g=1.0, l=20.0), engine="tree"
+    )
     return {
         "type": type_text,
         "constraints": constraint_text,
@@ -115,66 +119,49 @@ def test_clean_sweep_matches_sequential_reference(sweep_service):
     assert peak >= 8, f"peak_inflight={peak}"
 
 
-def test_vectorized_engine_sweep_matches_reference(sweep_service):
-    """The whole corpus served with ``engine=vectorized`` answers the
-    exact fields of the sequential tree-engine reference — the service
-    surface of the engine-conformance property."""
-    client = Client(sweep_service.port)
+def test_reference_engine_core_answers_like_the_default():
+    """A core built on the oracle engines (``tree`` evaluator, Fig. 7
+    ``w`` inference) answers the whole corpus with the same bytes as
+    the default core (``compiled``, ``uf``) — the service surface of
+    the engine-conformance property."""
+    config = dict(p=P, trace_summaries=False, metrics=False)
+    default = ServiceCore(ServiceConfig(**config))
+    oracle = ServiceCore(ServiceConfig(engine="tree", infer_engine="w", **config))
     for name, source in conformance_corpus():
-        payload = {"program": source, "p": P, "engine": "vectorized"}
-        status, body, _ = client.request("POST", "/v1/run", payload)
-        while status == 429:  # pragma: no cover - saturation backoff
-            time.sleep(0.05)
-            status, body, _ = client.request("POST", "/v1/run", payload)
-        assert status == 200, f"{name}: {body}"
-        expected = _reference(source)
-        assert body["type"] == expected["type"], name
-        assert body["constraints"] == expected["constraints"], name
-        assert body["value"] == expected["value"], name
-        assert body["cost"] == expected["cost"], name
+        payload = {"program": source}
+        assert oracle.handle_run(payload) == default.handle_run(payload), name
 
 
-def test_engine_is_part_of_the_cache_key():
-    """Identical programs under different engines are distinct cache
-    entries (the digest folds the engine knob), replay byte-identically
-    per engine, and agree on every deterministic field across engines."""
-    handle = start_in_background(
-        ServiceCore(ServiceConfig(p=P)), max_concurrency=4, max_queue=16
-    )
+def _raw_post(port, route, payload):
+    """``(status, body bytes, cache header)`` of one POST."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60.0)
     try:
-        client = Client(handle.port)
-        program = {"program": "scan (fun ab -> fst ab + snd ab) (mkpar (fun i -> i + 1))", "p": P}
-        bodies = {}
-        for engine in ("tree", "compiled", "vectorized"):
-            payload = dict(program, engine=engine)
-            s1, b1, h1 = client.request("POST", "/v1/run", payload)
-            s2, b2, h2 = client.request("POST", "/v1/run", payload)
-            assert (s1, s2) == (200, 200), (engine, b1, b2)
-            # First sight of each engine is a miss: same program under
-            # another engine did not poison the key.
-            assert h1["x-repro-cache"] == "miss", engine
-            assert h2["x-repro-cache"] == "hit", engine
-            for field in ("type", "constraints", "value", "cost"):
-                assert b1[field] == b2[field], (engine, field)
-            bodies[engine] = b1
-        for engine, body in bodies.items():
-            for field in ("type", "constraints", "value", "cost"):
-                assert body[field] == bodies["tree"][field], (engine, field)
+        conn.request("POST", route, body=json.dumps(payload))
+        response = conn.getresponse()
+        return response.status, response.read(), response.getheader("X-Repro-Cache")
     finally:
-        handle.stop()
+        conn.close()
 
 
-def test_unknown_engine_is_a_request_error():
-    handle = start_in_background(
-        ServiceCore(ServiceConfig(p=P)), max_concurrency=4, max_queue=16
-    )
+@pytest.mark.parametrize("route", ["/v1/run", "/v1/typecheck"])
+@pytest.mark.parametrize(
+    "field,value",
+    [("engine", "tree"), ("engine", "turbo"), ("infer_engine", "w"), ("infer_engine", "bogus")],
+)
+def test_engine_fields_ignored(route, field, value):
+    """Every engine answers bit-identically, so a body that still names
+    an engine gets the bytes of the same body without the field — from
+    the one cache entry the plain body created."""
+    core = ServiceCore(ServiceConfig(p=P))
+    handle = start_in_background(core, max_concurrency=4, max_queue=16)
     try:
-        client = Client(handle.port)
-        status, body, _ = client.request(
-            "POST", "/v1/run", {"program": "1 + 1", "engine": "turbo"}
-        )
-        assert status == 400
-        assert "engine must be one of tree, compiled, vectorized" in body["error"]["message"]
+        plain = {"program": "scan (fun ab -> fst ab + snd ab) (mkpar (fun i -> i + 1))"}
+        status, body, cache = _raw_post(handle.port, route, plain)
+        assert (status, cache) == (200, "miss"), body
+        status, named, cache = _raw_post(handle.port, route, {**plain, field: value})
+        assert (status, cache) == (200, "hit"), named
+        assert named == body
+        assert core.cache.stats()["entries"] == 1
     finally:
         handle.stop()
 

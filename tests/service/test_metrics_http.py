@@ -79,11 +79,11 @@ class TestMetricsEndpoint:
         ):
             assert name in families, f"family {name} missing from exposition"
 
-    def test_request_latency_carries_route_engine_backend_cache(self, server):
+    def test_latency_carries_route_backend_cache(self, server):
         program = "bcast 0 (mkpar (fun i -> i + 1))"
-        status, _ = post_json(server.port, "/v1/run", {"program": program, "engine": "compiled", "backend": "seq"})
+        status, _ = post_json(server.port, "/v1/run", {"program": program, "backend": "seq"})
         assert status == 200
-        status, _ = post_json(server.port, "/v1/run", {"program": program, "engine": "compiled", "backend": "seq"})
+        status, _ = post_json(server.port, "/v1/run", {"program": program, "backend": "seq"})
         assert status == 200  # replay: cache hit
         _, body, _ = fetch_metrics(server.port)
         families = parse_prometheus(body)
@@ -92,28 +92,11 @@ class TestMetricsEndpoint:
             for name, labels, value in families["repro_request_seconds"]["samples"]
             if name.endswith("_count")
         }
-        miss_key = tuple(
-            sorted(
-                {
-                    "route": "/v1/run",
-                    "engine": "compiled",
-                    "backend": "seq",
-                    "cache": "miss",
-                }.items()
+        for cache in ("miss", "hit"):
+            key = tuple(
+                sorted({"route": "/v1/run", "backend": "seq", "cache": cache}.items())
             )
-        )
-        hit_key = tuple(
-            sorted(
-                {
-                    "route": "/v1/run",
-                    "engine": "compiled",
-                    "backend": "seq",
-                    "cache": "hit",
-                }.items()
-            )
-        )
-        assert counts.get(miss_key, 0) >= 1
-        assert counts.get(hit_key, 0) >= 1
+            assert counts.get(key, 0) >= 1, cache
 
     def test_cache_hit_ratio_counters(self, server):
         program = "1 + 2"
@@ -144,22 +127,22 @@ class TestMetricsEndpoint:
             conn.close()
         assert metrics.SESSIONS.value() == 0
 
-    def test_unknown_engine_label_bucketed_as_other(self, server):
-        # An invalid engine is rejected 400, but its latency sample must
+    def test_unknown_backend_label_bucketed_as_other(self, server):
+        # An invalid backend is rejected, but its latency sample must
         # not mint a new label value from attacker-controlled input.
         status, _ = post_json(
-            server.port, "/v1/run", {"program": "1", "engine": "zzz-evil"}
+            server.port, "/v1/run", {"program": "1", "backend": "zzz-evil"}
         )
         assert status == 400
         _, body, _ = fetch_metrics(server.port)
         families = parse_prometheus(body)
-        engines = {
-            labels["engine"]
+        backends = {
+            labels["backend"]
             for name, labels, _ in families["repro_request_seconds"]["samples"]
             if name.endswith("_count")
         }
-        assert "zzz-evil" not in engines
-        assert "other" in engines
+        assert "zzz-evil" not in backends
+        assert "other" in backends
 
     def test_metrics_can_be_disabled_by_config(self):
         metrics.global_registry().reset()
@@ -248,10 +231,8 @@ class TestConcurrentAggregationAndIsolation:
 
         before = sum(
             metrics.REQUEST_SECONDS.count(
-                route="/v1/typecheck", engine=e, backend=b, cache=c
+                route="/v1/typecheck", backend="-", cache=c
             )
-            for e in ("-",)
-            for b in ("-",)
             for c in ("hit", "miss", "-")
         )
         for k in range(n):
@@ -262,10 +243,8 @@ class TestConcurrentAggregationAndIsolation:
             thread.join(timeout=60)
         after = sum(
             metrics.REQUEST_SECONDS.count(
-                route="/v1/typecheck", engine=e, backend=b, cache=c
+                route="/v1/typecheck", backend="-", cache=c
             )
-            for e in ("-",)
-            for b in ("-",)
             for c in ("hit", "miss", "-")
         )
         assert after - before == n

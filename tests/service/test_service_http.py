@@ -82,30 +82,6 @@ class TestBasics:
             assert name in body["solver_caches"]
             assert "hits" in body["solver_caches"][name]
 
-    def test_typecheck_infer_engine_knob(self, client):
-        program = {"program": "let f = fun x -> x in (f 1, f true)"}
-        _, body_w, _ = client.request(
-            "POST", "/v1/typecheck", {**program, "infer_engine": "w"}
-        )
-        _, body_uf, _ = client.request(
-            "POST", "/v1/typecheck", {**program, "infer_engine": "uf"}
-        )
-        assert body_w["type"] == body_uf["type"]
-        assert body_w["constraints"] == body_uf["constraints"]
-        assert body_w["scheme"] == body_uf["scheme"]
-        # Each engine caches its own entry so cold latencies stay
-        # measurable per engine.
-        assert body_w["digest"] != body_uf["digest"]
-
-    def test_typecheck_rejects_unknown_infer_engine(self, client):
-        status, body, _ = client.request(
-            "POST",
-            "/v1/typecheck",
-            {"program": "1 + 1", "infer_engine": "bogus"},
-        )
-        assert status == 400
-        assert "infer_engine" in body["error"]["message"]
-
 
 class TestCliIntegration:
     def test_serve_subcommand_is_registered(self):
@@ -163,10 +139,20 @@ class TestErrorMapping:
         assert status == 400
 
     def test_bad_parameter_is_400(self, client):
-        status, body, _ = client.request(
-            "POST", "/v1/run", {"program": "1", "p": "four"}
-        )
-        assert status == 400
+        for bad in (
+            {"p": "four"},
+            {"p": True},
+            {"g": False},
+            {"l": True},
+            {"g": float("nan")},
+            {"l": float("inf")},
+            {"g": float("-inf")},
+        ):
+            status, body, _ = client.request(
+                "POST", "/v1/run", {"program": "1", **bad}
+            )
+            assert status == 400, bad
+            assert body["error"]["kind"] == "bad-request", bad
 
     def test_malformed_json_is_400(self, client):
         conn = client.connect()
