@@ -8,6 +8,12 @@ wraps it in the corresponding ``let`` chain, so the prelude is typechecked
 by the paper's type system and executed by the paper's semantics like any
 user code.
 
+The prelude is parsed once per process, on first use, and every caller
+shares that one parse.  Sharing is safe because AST nodes are frozen;
+their only side channels (source locations and the idempotent
+free-variable cache) never change what a term means, so wrapped terms,
+digests and costs are the same as with a fresh parse.
+
 The paper's ``bcast`` has BSP cost ``p + (p-1)*s*g + l`` (formula (1));
 the benchmark ``benchmarks/bench_formula1_bcast_cost.py`` checks the
 simulator reproduces that shape for the ``bcast`` defined here.
@@ -15,6 +21,7 @@ simulator reproduces that shape for the ``bcast`` defined here.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.lang.ast import Expr, Let
@@ -121,14 +128,23 @@ PRELUDE_SOURCE: str = "\n".join(
 )
 
 
+@lru_cache(maxsize=1)
+def _parsed() -> Tuple[Tuple[str, Expr], ...]:
+    """The one shared parse of :data:`PRELUDE_SOURCE`."""
+    return tuple(parse_definitions(PRELUDE_SOURCE, filename="<prelude>"))
+
+
 def prelude_asts() -> List[Tuple[str, Expr]]:
-    """Parse the prelude into (name, body) pairs, in dependency order."""
-    return parse_definitions(PRELUDE_SOURCE, filename="<prelude>")
+    """The prelude as (name, body) pairs, in dependency order.
+
+    A new list per call over the shared parse, so a caller may mutate it.
+    """
+    return list(_parsed())
 
 
 def prelude_map() -> Dict[str, Expr]:
-    """The prelude as a name -> body mapping."""
-    return dict(prelude_asts())
+    """The prelude as a name -> body mapping (a new dict per call)."""
+    return dict(_parsed())
 
 
 def needed_definitions(expr: Expr) -> List[Tuple[str, Expr]]:
@@ -140,10 +156,9 @@ def needed_definitions(expr: Expr) -> List[Tuple[str, Expr]]:
     """
     from repro.lang.substitution import free_vars
 
-    definitions = prelude_asts()
     needed = set(free_vars(expr))
     keep = []
-    for name, body in reversed(definitions):
+    for name, body in reversed(_parsed()):
         if name in needed:
             keep.append((name, body))
             needed |= free_vars(body)

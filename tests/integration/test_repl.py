@@ -110,6 +110,16 @@ class TestMetaCommands:
         assert "p=8" in output
         assert "<0, 1, 2, 3, 4, 5, 6, 7>" in output
 
+    def test_p_rebuilds_the_prelude_like_a_fresh_session(self):
+        from repro.semantics.values import reify
+
+        changed = Session()
+        changed.handle(":p 8", io.StringIO())
+        fresh = Session(BspParams(p=8))
+        assert list(changed.values) == list(fresh.values)
+        for name, value in fresh.values.items():
+            assert reify(changed.values[name]) == reify(value), name
+
     def test_p_shows_current(self):
         assert "p=4" in drive(":p")
 

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import io
+import threading
+from pathlib import Path
+
 import pytest
 
+import repro.lang.prelude as prelude_module
+from repro.core.digest import expr_digest
 from repro.lang.ast import Let, Var
-from repro.lang.parser import parse_expression
+from repro.lang.parser import parse_definitions, parse_expression, parse_program
 from repro.lang.prelude import (
     PRELUDE_DEFINITIONS,
+    PRELUDE_SOURCE,
     needed_definitions,
     prelude_asts,
     prelude_map,
@@ -117,3 +124,119 @@ class TestPreludeSemantics:
 
         expr = with_prelude(parse_program(source))
         assert to_python(run(expr, p)) == expected
+
+
+PROGRAMS_DIR = Path(__file__).resolve().parents[2] / "programs"
+
+
+def _reference_wrap(expr):
+    """``with_prelude(expr)`` rebuilt from a fresh parse of the prelude."""
+    needed = set(free_vars(expr))
+    keep = []
+    for name, body in reversed(parse_definitions(PRELUDE_SOURCE, filename="<prelude>")):
+        if name in needed:
+            keep.append((name, body))
+            needed |= free_vars(body)
+    result = expr
+    for name, body in keep:
+        result = Let(name, body, result)
+    return result
+
+
+def _corpus():
+    from repro.testing import CORPUS_GLOBAL, CORPUS_IMPERATIVE, CORPUS_LOCAL
+
+    programs = [
+        (path.name, parse_program(path.read_text(), filename=path.name))
+        for path in sorted(PROGRAMS_DIR.glob("*.bsml"))
+    ]
+    for source in CORPUS_LOCAL + CORPUS_GLOBAL + CORPUS_IMPERATIVE:
+        programs.append((source, parse_program(source)))
+    return programs
+
+
+@pytest.fixture
+def prelude_parses(monkeypatch):
+    """Clear the shared parse and record every prelude parse from here on."""
+    calls = []
+    real = prelude_module.parse_definitions
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prelude_module, "parse_definitions", counting)
+    prelude_module._parsed.cache_clear()
+    return calls
+
+
+class TestSharedParse:
+    """The prelude is parsed once per process and every caller shares it."""
+
+    def test_first_use_parses_once(self, prelude_parses):
+        with_prelude(parse_expression("bcast 0 procs"))
+        with_prelude(parse_expression("scan f procs"))
+        assert len(prelude_parses) == 1
+
+    def test_no_parse_after_warm_up(self, prelude_parses):
+        from repro import run_program
+        from repro.repl import Session
+        from repro.service import ServiceCore
+
+        prelude_asts()
+        assert len(prelude_parses) == 1
+        expr = parse_expression("bcast 0 (mkpar (fun i -> i))")
+        for _ in range(100):
+            with_prelude(expr)
+        status, _, _ = ServiceCore().handle_run(
+            {"program": "scan (fun ab -> fst ab + snd ab) procs"}
+        )
+        assert status == 200
+        run_program("fold (fun ab -> fst ab + snd ab) procs", p=3)
+        session = Session()
+        session.reset()
+        session.handle(":p 8", io.StringIO())
+        assert len(prelude_parses) == 1
+
+    @pytest.mark.parametrize(
+        "expr", [pytest.param(expr, id=name) for name, expr in _corpus()]
+    )
+    def test_wrap_matches_a_fresh_parse(self, expr):
+        wrapped = with_prelude(expr)
+        reference = _reference_wrap(expr)
+        assert wrapped == reference
+        assert expr_digest(wrapped) == expr_digest(reference)
+
+    def test_corpus_exercises_the_prelude(self):
+        assert any(needed_definitions(expr) for _, expr in _corpus())
+
+    def test_mutating_returned_containers_is_harmless(self):
+        expr = parse_expression("bcast 0 (scan (fun ab -> fst ab + snd ab) procs)")
+        before = with_prelude(expr)
+        asts = prelude_asts()
+        asts.clear()
+        asts.append(("bcast", Var("oops")))
+        mapping = prelude_map()
+        mapping.clear()
+        mapping["replicate"] = Var("oops")
+        assert with_prelude(expr) == before
+        assert len(prelude_asts()) == len(PRELUDE_DEFINITIONS)
+        assert prelude_map().keys() == {name for name, _ in PRELUDE_DEFINITIONS}
+
+    def test_concurrent_first_use_agrees(self, prelude_parses):
+        expr = parse_expression("fold (fun ab -> fst ab + snd ab) (shift 1 procs)")
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def first_call(slot):
+            barrier.wait()
+            results[slot] = with_prelude(expr)
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        reference = _reference_wrap(expr)
+        assert all(result == reference for result in results)
+        assert len({expr_digest(result) for result in results}) == 1
