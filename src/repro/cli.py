@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from repro import obs, perf, run_program, typecheck_scheme
 from repro.core import TypingError, explain as explain_expr
-from repro.lang import ParseError, parse_program, pretty, with_prelude
+from repro.lang import LexError, ParseError, parse_program, pretty, with_prelude
 from repro.lang.errors import ReproError
 from repro.semantics import StuckError, trace as smallstep_trace
 
@@ -472,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status = args.handler(args)
         print(stats.render(verbose=verbose_stats), file=sys.stderr)
         return status
-    except ParseError as error:
+    except (LexError, ParseError) as error:
         print(f"syntax error: {error}", file=sys.stderr)
         return 2
     except TypingError as error:

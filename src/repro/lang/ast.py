@@ -29,14 +29,13 @@ programmatically compare equal to parsed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple as TupleT, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple as TupleT, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.lang.type_syntax import TypeExpr
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     """A position in a source file: 1-based line and column."""
 
     line: int

@@ -17,9 +17,9 @@ primitives of the paper (``e1 + e2`` parses to ``(+) (e1, e2)``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto, unique
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 from repro.lang.ast import Loc
 from repro.lang.errors import LexError
@@ -69,12 +69,38 @@ _SYMBOLS = (
     ";",
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789'")
+#: One alternative per token class, tried in order at each position.
+#: ``(*`` comes before the symbols so it always opens a comment, and a
+#: digit run glued to a letter is caught before a plain integer.  Only
+#: ASCII digits and letters are accepted.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>\(\*)"
+    r"|(?P<badint>[0-9]+[A-Za-z_])"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<tyvar>'[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")"
+)
+
+#: The delimiters a (nested) comment body is scanned for.
+_COMMENT_RE = re.compile(r"\(\*|\*\)")
+
+#: Kinds of the non-word token classes; a type variable such as ``'a``
+#: (used in ascriptions) is an identifier.
+_GROUP_KINDS = {
+    "int": TokenKind.INT,
+    "tyvar": TokenKind.IDENT,
+    "symbol": TokenKind.SYMBOL,
+}
+
+#: Words that are not identifiers; ``mod`` is a binary operator spelled
+#: as a word.
+_WORD_KINDS = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD)
+_WORD_KINDS["mod"] = TokenKind.SYMBOL
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token with its kind, text and source location."""
 
     kind: TokenKind
@@ -93,107 +119,53 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<input>") -> None:
         self.source = source
         self.filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def _loc(self) -> Loc:
-        return Loc(self._line, self._column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self.source):
-                return
-            if self.source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while True:
-            while self._peek() in (" ", "\t", "\r", "\n") and self._peek():
-                self._advance()
-            if self._peek() == "(" and self._peek(1) == "*":
-                self._skip_comment()
-            else:
-                return
-
-    def _skip_comment(self) -> None:
-        start = self._loc()
-        depth = 0
-        while True:
-            if self._pos >= len(self.source):
-                raise LexError("unterminated comment", start)
-            if self._peek() == "(" and self._peek(1) == "*":
-                depth += 1
-                self._advance(2)
-            elif self._peek() == "*" and self._peek(1) == ")":
-                depth -= 1
-                self._advance(2)
-                if depth == 0:
-                    return
-            else:
-                self._advance()
 
     def tokens(self) -> Iterator[Token]:
-        """Yield every token of the input, ending with a single EOF token."""
-        while True:
-            self._skip_whitespace_and_comments()
-            loc = self._loc()
-            char = self._peek()
-            if not char:
-                yield Token(TokenKind.EOF, "", loc)
-                return
-            if char.isdigit():
-                yield self._lex_int(loc)
-                continue
-            if char in _IDENT_START:
-                yield self._lex_word(loc)
-                continue
-            if char == "'" and self._peek(1) in _IDENT_START:
-                # A type variable such as 'a (used in ascriptions).
-                self._advance()
-                word = self._lex_word(loc)
-                yield Token(TokenKind.IDENT, "'" + word.text, loc)
-                continue
-            symbol = self._match_symbol()
-            if symbol is not None:
-                yield Token(TokenKind.SYMBOL, symbol, loc)
-                continue
-            raise LexError(f"unexpected character {char!r}", loc)
+        """Yield every token of the input, ending with a single EOF token.
 
-    def _lex_int(self, loc: Loc) -> Token:
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        text = self.source[start : self._pos]
-        if self._peek() in _IDENT_START:
-            raise LexError(f"malformed number {text + self._peek()!r}", loc)
-        return Token(TokenKind.INT, text, loc)
+        Tabs and carriage returns count as one column each; a column is
+        the offset from the character after the last newline.
+        """
+        source = self.source
+        match = _TOKEN_RE.match
+        ident = TokenKind.IDENT
+        pos, end = 0, len(source)
+        line, line_start = 1, 0
+        while pos < end:
+            found = match(source, pos)
+            if found is None:
+                loc = Loc(line, pos - line_start + 1)
+                raise LexError(f"unexpected character {source[pos]!r}", loc)
+            group = found.lastgroup
+            stop = found.end()
+            if group == "space" or group == "comment":
+                if group == "comment":
+                    stop = _comment_end(source, pos, Loc(line, pos - line_start + 1))
+                newlines = source.count("\n", pos, stop)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", pos, stop) + 1
+            else:
+                loc = Loc(line, pos - line_start + 1)
+                text = found.group()
+                if group == "word":
+                    yield Token(_WORD_KINDS.get(text, ident), text, loc)
+                elif group == "badint":
+                    raise LexError(f"malformed number {text!r}", loc)
+                else:
+                    yield Token(_GROUP_KINDS[group], text, loc)
+            pos = stop
+        yield Token(TokenKind.EOF, "", Loc(line, pos - line_start + 1))
 
-    def _lex_word(self, loc: Loc) -> Token:
-        start = self._pos
-        while self._peek() and self._peek() in _IDENT_CONT:
-            self._advance()
-        text = self.source[start : self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        # ``mod`` is a binary operator spelled as a word.
-        if text == "mod":
-            kind = TokenKind.SYMBOL
-        return Token(kind, text, loc)
 
-    def _match_symbol(self) -> str | None:
-        for symbol in _SYMBOLS:
-            if self.source.startswith(symbol, self._pos):
-                self._advance(len(symbol))
-                return symbol
-        return None
+def _comment_end(source: str, start: int, loc: Loc) -> int:
+    """The offset just past the comment opening at ``start``; comments nest."""
+    depth = 0
+    for delimiter in _COMMENT_RE.finditer(source, start):
+        depth += 1 if delimiter.group() == "(*" else -1
+        if depth == 0:
+            return delimiter.end()
+    raise LexError("unterminated comment", loc)
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:

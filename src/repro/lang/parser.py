@@ -8,16 +8,15 @@ Grammar (from loosest to tightest binding)::
                | 'let' IDENT IDENT* '=' expr 'in' expr
                | 'if' expr ('at' expr)? 'then' expr 'else' expr
                | tuple
-    tuple     := or ( ',' or )*               (2 items -> Pair, 3+ -> Tuple)
-    or        := and ( '||' and )*
-    and       := cmp ( '&&' cmp )*
-    cmp       := add ( ('='|'<>'|'<'|'<='|'>'|'>=') add )?
-    add       := mul ( ('+'|'-') mul )*
-    mul       := unary ( ('*'|'/'|'mod') unary )*
+    tuple     := binary ( ',' binary )*       (2 items -> Pair, 3+ -> Tuple)
+    binary    := unary ( OP unary )*          (precedence climbing, see below)
     unary     := '-' unary | app
     app       := atom atom+                   (left associative)
     atom      := INT | 'true' | 'false' | '(' ')' | IDENT | '(' expr ')'
 
+Binary operators, loosest first: ``:=`` (right associative), ``||``,
+``&&``, the comparisons ``= <> < <= > >=`` (non-associative: ``a < b < c``
+stops after ``a < b``), ``+ -``, then ``* / mod`` (all left associative).
 Binary operators are sugar for the paper's pair-taking primitives:
 ``e1 + e2`` parses to ``App(Prim('+'), Pair(e1, e2))``.  Identifiers that
 name primitives (``mkpar``, ``put``, ``fst``, ...) parse to :class:`Prim`
@@ -86,12 +85,23 @@ BINARY_OPERATORS = frozenset(
     ("+", "-", "*", "/", "mod", "=", "<>", "<", "<=", ">", ">=", "&&", "||", ":=")
 )
 
-_CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "mod")
+_LEFT, _RIGHT, _NONASSOC = range(3)
+
+#: Binding level (higher binds tighter) and associativity of each binary
+#: operator.  Only symbol tokens can carry these texts.
+_BINARY_LEVELS = {
+    ":=": (0, _RIGHT),  # imperative extension
+    "||": (1, _LEFT),
+    "&&": (2, _LEFT),
+    **dict.fromkeys(("=", "<>", "<", "<=", ">", ">="), (3, _NONASSOC)),
+    **dict.fromkeys(("+", "-"), (4, _LEFT)),
+    **dict.fromkeys(("*", "/", "mod"), (5, _LEFT)),
+}
+_TIGHTEST = max(level for level, _ in _BINARY_LEVELS.values())
 
 #: Tokens that can begin an atom, used to decide when application stops.
 _ATOM_STARTERS = (TokenKind.INT, TokenKind.IDENT)
+_ATOM_STARTER_TEXTS = frozenset(("true", "false", "(", "!"))
 
 
 class _Parser:
@@ -103,34 +113,31 @@ class _Parser:
     # -- token plumbing ---------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``index`` never passes the EOF token, so only lookahead clamps.
+        if offset:
+            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index]
 
     def _next(self) -> Token:
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.kind is not TokenKind.EOF:
             self.index += 1
         return token
 
-    def _at_keyword(self, word: str) -> bool:
-        token = self._peek()
-        return token.kind is TokenKind.KEYWORD and token.text == word
+    def _at(self, text: str) -> bool:
+        """Whether the next token is the keyword or symbol ``text``.
 
-    def _at_symbol(self, *symbols: str) -> bool:
-        token = self._peek()
-        return token.kind is TokenKind.SYMBOL and token.text in symbols
+        No identifier, integer or EOF token can spell a keyword or a
+        symbol, so the text alone decides.
+        """
+        return self.tokens[self.index].text == text
 
-    def _expect_keyword(self, word: str) -> Token:
-        if not self._at_keyword(word):
-            raise ParseError(f"expected {word!r}, found {self._peek()}", self._peek().loc)
-        return self._next()
-
-    def _expect_symbol(self, symbol: str) -> Token:
-        if not self._at_symbol(symbol):
-            raise ParseError(
-                f"expected {symbol!r}, found {self._peek()}", self._peek().loc
-            )
-        return self._next()
+    def _expect(self, text: str) -> Token:
+        token = self.tokens[self.index]
+        if token.text != text:
+            raise ParseError(f"expected {text!r}, found {token}", token.loc)
+        self.index += 1
+        return token
 
     def _expect_binder(self) -> Token:
         token = self._peek()
@@ -148,141 +155,126 @@ class _Parser:
         expr = self._parse_nonseq()
         # Sequencing ``e1 ; e2`` (imperative extension) desugars to
         # ``let _ = e1 in e2``; right associative.
-        if self._at_symbol(";"):
+        if self._at(";"):
             loc = self._next().loc
             rest = self.parse_expr()
             return _with_loc(Let("_", expr, rest), loc)
         return expr
 
     def _parse_nonseq(self) -> Expr:
-        if self._at_keyword("fun"):
+        text = self.tokens[self.index].text
+        if text == "fun":
             return self._parse_fun()
-        if self._at_keyword("let"):
+        if text == "let":
             return self._parse_let()
-        if self._at_keyword("if"):
+        if text == "if":
             return self._parse_if()
-        if self._at_keyword("case"):
+        if text == "case":
             return self._parse_case()
         return self._parse_tuple()
 
     def _parse_case(self) -> Expr:
         """``case e of inl x -> e1 | inr y -> e2`` (sum-type extension)."""
-        loc = self._expect_keyword("case").loc
+        loc = self._expect("case").loc
         scrutinee = self.parse_expr()
-        self._expect_keyword("of")
-        self._expect_keyword("inl")
+        self._expect("of")
+        self._expect("inl")
         left_name = self._expect_binder().text
-        self._expect_symbol("->")
+        self._expect("->")
         left_body = self.parse_expr()
-        self._expect_symbol("|")
-        self._expect_keyword("inr")
+        self._expect("|")
+        self._expect("inr")
         right_name = self._expect_binder().text
-        self._expect_symbol("->")
+        self._expect("->")
         right_body = self.parse_expr()
         return _with_loc(
             Case(scrutinee, left_name, left_body, right_name, right_body), loc
         )
 
     def _parse_fun(self) -> Expr:
-        loc = self._expect_keyword("fun").loc
+        loc = self._expect("fun").loc
         params = [self._expect_binder().text]
         while self._peek().kind is TokenKind.IDENT:
             params.append(self._expect_binder().text)
-        self._expect_symbol("->")
+        self._expect("->")
         body = self.parse_expr()
         return _with_loc(fun(tuple(params), body), loc)
 
     def _parse_let(self) -> Expr:
-        loc = self._expect_keyword("let").loc
+        loc, name, bound = self._parse_binding()
+        self._expect("in")
+        return _with_loc(Let(name, bound, self.parse_expr()), loc)
+
+    def _parse_binding(self) -> TupleT[Loc, str, Expr]:
+        """``'let' IDENT IDENT* '=' expr``, shared by ``let … in`` and
+        top-level definitions."""
+        loc = self._expect("let").loc
         name = self._expect_binder().text
         params = []
         while self._peek().kind is TokenKind.IDENT:
             params.append(self._expect_binder().text)
-        self._expect_symbol("=")
+        self._expect("=")
         bound = self.parse_expr()
         if params:
             bound = fun(tuple(params), bound)
-        self._expect_keyword("in")
-        body = self.parse_expr()
-        return _with_loc(Let(name, bound, body), loc)
+        return loc, name, bound
 
     def _parse_if(self) -> Expr:
-        loc = self._expect_keyword("if").loc
+        loc = self._expect("if").loc
         cond = self.parse_expr()
         proc: Optional[Expr] = None
-        if self._at_keyword("at"):
+        if self._at("at"):
             self._next()
             proc = self.parse_expr()
-        self._expect_keyword("then")
+        self._expect("then")
         then_branch = self.parse_expr()
-        self._expect_keyword("else")
+        self._expect("else")
         else_branch = self.parse_expr()
         if proc is None:
             return _with_loc(If(cond, then_branch, else_branch), loc)
         return _with_loc(IfAt(cond, proc, then_branch, else_branch), loc)
 
     def _parse_tuple(self) -> Expr:
-        first = self._parse_assign()
-        if not self._at_symbol(","):
+        first = self._parse_binary(0)
+        if not self._at(","):
             return first
         items = [first]
-        while self._at_symbol(","):
+        while self._at(","):
             self._next()
-            items.append(self._parse_assign())
+            items.append(self._parse_binary(0))
         if len(items) == 2:
             return Pair(items[0], items[1])
         return Tuple(tuple(items))
 
-    def _parse_assign(self) -> Expr:
-        """``e1 := e2`` (imperative extension), right associative."""
-        left = self._parse_or()
-        if self._at_symbol(":="):
-            loc = self._next().loc
-            right = self._parse_assign()
-            return self._binop(":=", left, right, loc)
-        return left
-
     def _binop(self, op: str, left: Expr, right: Expr, loc: Loc) -> Expr:
         return _with_loc(App(Prim(op), Pair(left, right)), loc)
 
-    def _parse_or(self) -> Expr:
-        left = self._parse_and()
-        while self._at_symbol("||"):
-            loc = self._next().loc
-            left = self._binop("||", left, self._parse_and(), loc)
-        return left
+    def _parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing over operators binding at ``min_level`` or tighter.
 
-    def _parse_and(self) -> Expr:
-        left = self._parse_cmp()
-        while self._at_symbol("&&"):
-            loc = self._next().loc
-            left = self._binop("&&", left, self._parse_cmp(), loc)
-        return left
-
-    def _parse_cmp(self) -> Expr:
-        left = self._parse_add()
-        if self._at_symbol(*_CMP_OPS):
-            token = self._next()
-            right = self._parse_add()
-            return self._binop(token.text, left, right, token.loc)
-        return left
-
-    def _parse_add(self) -> Expr:
-        left = self._parse_mul()
-        while self._at_symbol(*_ADD_OPS):
-            token = self._next()
-            left = self._binop(token.text, left, self._parse_mul(), token.loc)
-        return left
-
-    def _parse_mul(self) -> Expr:
+        After an operator at level ``L`` only operators at ``L`` or looser
+        may follow (strictly looser after a non-associative one), so an
+        operand that stopped early, as in ``x && a < b < c``, ends the
+        whole chain at the same token a layered grammar would.
+        """
         left = self._parse_unary()
-        while self._at_symbol(*_MUL_OPS):
-            token = self._next()
-            left = self._binop(token.text, left, self._parse_unary(), token.loc)
-        return left
+        ceiling = _TIGHTEST
+        tokens = self.tokens
+        while True:
+            token = tokens[self.index]
+            entry = _BINARY_LEVELS.get(token.text)
+            if entry is None:
+                return left
+            level, assoc = entry
+            if level < min_level or level > ceiling:
+                return left
+            self.index += 1
+            right = self._parse_binary(level if assoc == _RIGHT else level + 1)
+            left = self._binop(token.text, left, right, token.loc)
+            ceiling = level - 1 if assoc == _NONASSOC else level
 
     def _parse_unary(self) -> Expr:
-        if self._at_symbol("-"):
+        if self._at("-"):
             token = self._next()
             operand = self._parse_unary()
             # A negated literal is a (negative) constant, so that pretty
@@ -293,81 +285,76 @@ class _Parser:
             return self._binop("-", _with_loc(Const(0), token.loc), operand, token.loc)
         return self._parse_app()
 
-    def _starts_atom(self) -> bool:
-        token = self._peek()
-        if token.kind in _ATOM_STARTERS:
-            return True
-        if token.kind is TokenKind.KEYWORD and token.text in ("true", "false"):
-            return True
-        return token.kind is TokenKind.SYMBOL and token.text in ("(", "!")
-
     def _parse_app(self) -> Expr:
         expr = self._parse_atom()
-        while self._starts_atom():
-            arg = self._parse_atom()
-            expr = App(expr, arg)
-        return expr
+        tokens = self.tokens
+        while True:
+            token = tokens[self.index]
+            if (
+                token.kind not in _ATOM_STARTERS
+                and token.text not in _ATOM_STARTER_TEXTS
+            ):
+                return expr
+            expr = App(expr, self._parse_atom())
 
     def _parse_atom(self) -> Expr:
-        token = self._peek()
-        if token.kind is TokenKind.INT:
-            self._next()
-            return _with_loc(Const(int(token.text)), token.loc)
-        if token.kind is TokenKind.KEYWORD and token.text in ("true", "false"):
-            self._next()
-            return _with_loc(Const(token.text == "true"), token.loc)
-        if self._at_symbol("!"):
-            bang = self._next()
-            target = self._parse_atom()
-            return _with_loc(App(Prim("!"), target), bang.loc)
-        if token.kind is TokenKind.KEYWORD and token.text in ("inl", "inr"):
-            self._next()
-            payload = self._parse_atom()
-            node = Inl(payload) if token.text == "inl" else Inr(payload)
-            return _with_loc(node, token.loc)
-        if token.kind is TokenKind.IDENT:
-            self._next()
+        token = self.tokens[self.index]
+        kind = token.kind
+        if kind is TokenKind.IDENT:
+            self.index += 1
             if token.text in PRIMITIVE_NAMES:
                 return _with_loc(Prim(token.text), token.loc)
             return _with_loc(Var(token.text), token.loc)
-        if self._at_symbol("("):
-            open_loc = self._next().loc
-            if self._at_symbol(")"):
-                self._next()
-                return _with_loc(Const(UNIT), open_loc)
+        if kind is TokenKind.INT:
+            self.index += 1
+            return _with_loc(Const(int(token.text)), token.loc)
+        text = token.text
+        if text == "(":
+            self.index += 1
+            if self._at(")"):
+                self.index += 1
+                return _with_loc(Const(UNIT), token.loc)
             # Operator section ``(+)``: the operator as a first-class value.
-            head = self._peek()
+            head = self.tokens[self.index]
             if (
-                head.kind is TokenKind.SYMBOL
-                and (head.text in BINARY_OPERATORS or head.text == "!")
-                and self._peek(1).kind is TokenKind.SYMBOL
-                and self._peek(1).text == ")"
-            ):
-                self._next()
-                self._next()
-                return _with_loc(Prim(head.text), open_loc)
+                head.text in BINARY_OPERATORS or head.text == "!"
+            ) and self._peek(1).text == ")":
+                self.index += 2
+                return _with_loc(Prim(head.text), token.loc)
             inner = self.parse_expr()
-            if self._at_symbol(":"):
-                self._next()
+            if self._at(":"):
+                self.index += 1
                 annotation = self._parse_type()
-                self._expect_symbol(")")
-                return _with_loc(Annot(inner, annotation), open_loc)
-            self._expect_symbol(")")
+                self._expect(")")
+                return _with_loc(Annot(inner, annotation), token.loc)
+            self._expect(")")
             return inner
+        if text == "true" or text == "false":
+            self.index += 1
+            return _with_loc(Const(text == "true"), token.loc)
+        if text == "!":
+            self.index += 1
+            target = self._parse_atom()
+            return _with_loc(App(Prim("!"), target), token.loc)
+        if text == "inl" or text == "inr":
+            self.index += 1
+            payload = self._parse_atom()
+            node = Inl(payload) if text == "inl" else Inr(payload)
+            return _with_loc(node, token.loc)
         raise ParseError(f"expected an expression, found {token}", token.loc)
 
     # -- types (ascriptions) ------------------------------------------------
 
     def _parse_type(self) -> TypeExpr:
         left = self._parse_type_product()
-        if self._at_symbol("->"):
+        if self._at("->"):
             self._next()
             return TEArrow(left, self._parse_type())
         return left
 
     def _parse_type_product(self) -> TypeExpr:
         items = [self._parse_type_postfix()]
-        while self._at_symbol("*"):
+        while self._at("*"):
             self._next()
             items.append(self._parse_type_postfix())
         if len(items) == 1:
@@ -394,13 +381,13 @@ class _Parser:
                 self._next()
                 return TEVar(token.text[1:])
             raise ParseError(f"unknown type name {token}", token.loc)
-        if self._at_symbol("("):
+        if self._at("("):
             self._next()
             first = self._parse_type()
-            if self._at_symbol(","):
+            if self._at(","):
                 self._next()
                 second = self._parse_type()
-                self._expect_symbol(")")
+                self._expect(")")
                 word = self._peek()
                 if word.kind is TokenKind.IDENT and word.text == "sum":
                     self._next()
@@ -408,7 +395,7 @@ class _Parser:
                 raise ParseError(
                     f"expected 'sum' after a type pair, found {word}", word.loc
                 )
-            self._expect_symbol(")")
+            self._expect(")")
             return first
         raise ParseError(f"expected a type, found {token}", token.loc)
 
@@ -424,48 +411,25 @@ class _Parser:
         """
         definitions: List[TupleT[str, Expr]] = []
         while True:
-            while self._at_symbol(";;"):
+            while self._at(";;"):
                 self._next()
             if self._peek().kind is TokenKind.EOF:
                 return definitions, None
-            if self._at_keyword("let") and self._is_toplevel_let():
-                self._expect_keyword("let")
-                name = self._expect_binder().text
-                params = []
-                while self._peek().kind is TokenKind.IDENT:
-                    params.append(self._expect_binder().text)
-                self._expect_symbol("=")
-                bound = self.parse_expr()
-                if params:
-                    bound = fun(tuple(params), bound)
-                definitions.append((name, bound))
-                continue
-            final = self.parse_expr()
-            while self._at_symbol(";;"):
+            if self._at("let"):
+                # A definition unless ``in`` follows the bound, which is
+                # parsed once either way.
+                loc, name, bound = self._parse_binding()
+                if not self._at("in"):
+                    definitions.append((name, bound))
+                    continue
+                self._next()
+                final = _with_loc(Let(name, bound, self.parse_expr()), loc)
+            else:
+                final = self.parse_expr()
+            while self._at(";;"):
                 self._next()
             self._expect_eof()
             return definitions, final
-
-    def _is_toplevel_let(self) -> bool:
-        """Decide whether the upcoming ``let`` lacks an ``in`` (a definition).
-
-        Implemented by speculative parsing with backtracking over the token
-        list; cheap because programs are small.
-        """
-        saved = self.index
-        try:
-            self._expect_keyword("let")
-            self._expect_binder()
-            while self._peek().kind is TokenKind.IDENT:
-                self._expect_binder()
-            self._expect_symbol("=")
-            self.parse_expr()
-            return not self._at_keyword("in")
-        except ParseError:
-            # Let the real parse report the error with proper context.
-            return False
-        finally:
-            self.index = saved
 
     def _expect_eof(self) -> None:
         token = self._peek()
@@ -482,13 +446,19 @@ def parse_expression(source: str, filename: str = "<input>") -> Expr:
         return expr
 
 
+def parse_toplevel(
+    source: str, filename: str = "<input>"
+) -> TupleT[List[TupleT[str, Expr]], Optional[Expr]]:
+    """Parse top-level definitions and the optional final expression."""
+    with deep_recursion():
+        return _Parser(tokenize(source, filename), filename).parse_program()
+
+
 def parse_definitions(
     source: str, filename: str = "<input>"
 ) -> List[TupleT[str, Expr]]:
     """Parse a sequence of top-level ``let`` definitions (no final expression)."""
-    with deep_recursion():
-        parser = _Parser(tokenize(source, filename), filename)
-        definitions, final = parser.parse_program()
+    definitions, final = parse_toplevel(source, filename)
     if final is not None:
         raise ParseError(
             "expected only top-level definitions, found a trailing expression",
@@ -499,9 +469,7 @@ def parse_definitions(
 
 def parse_program(source: str, filename: str = "<input>") -> Expr:
     """Parse definitions plus a final expression into one nested-let term."""
-    with deep_recursion():
-        parser = _Parser(tokenize(source, filename), filename)
-        definitions, final = parser.parse_program()
+    definitions, final = parse_toplevel(source, filename)
     if final is None:
         raise ParseError("program has no final expression", None)
     result = final

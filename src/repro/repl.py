@@ -51,8 +51,7 @@ from repro.core.prelude_env import prelude_env
 from repro.core.schemes import TypeEnv, generalize
 from repro.lang.ast import Expr
 from repro.lang.errors import ReproError
-from repro.lang.lexer import tokenize
-from repro.lang.parser import _Parser
+from repro.lang.parser import parse_expression, parse_toplevel
 from repro.lang.prelude import prelude_map, with_prelude
 from repro.lang.pretty import pretty
 from repro.lang.substitution import free_vars, substitute
@@ -361,14 +360,10 @@ class Session:
     # -- helpers ------------------------------------------------------------
 
     def _parse_expr(self, source: str) -> Expr:
-        parser = _Parser(tokenize(source, "<repl>"), "<repl>")
-        expr = parser.parse_expr()
-        parser._expect_eof()
-        return expr
+        return parse_expression(source, "<repl>")
 
     def _parse_program(self, source: str):
-        parser = _Parser(tokenize(source, "<repl>"), "<repl>")
-        return parser.parse_program()
+        return parse_toplevel(source, "<repl>")
 
     def _close(self, expr: Expr) -> Expr:
         """Substitute session/prelude values into a term for tracing."""

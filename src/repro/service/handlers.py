@@ -38,7 +38,7 @@ from repro.core.schemes import ConstrainedType, TypeEnv, generalize
 from repro.core.types import _variable_display_names, intern_pool_stats, render_type
 from repro.lang import parse_program, pretty, with_prelude
 from repro.lang.ast import Expr, Let
-from repro.lang.errors import ParseError, ReproError
+from repro.lang.errors import LexError, ParseError, ReproError
 from repro.lang.limits import deep_recursion
 from repro.semantics import CostedResult, StuckError, run_costed
 from repro.semantics.values import reify
@@ -194,7 +194,7 @@ def _parse(source: Any) -> Expr:
         raise RequestError(400, "bad-request", "expected a non-empty program string")
     try:
         return parse_program(source)
-    except ParseError as error:
+    except (LexError, ParseError) as error:
         raise RequestError(400, "parse", str(error)) from error
 
 

@@ -52,6 +52,13 @@ class TestTypecheck:
         assert code == 2
         assert "syntax error" in err
 
+    @pytest.mark.parametrize("source", ["é", "(* open", "12abc", "²"])
+    @pytest.mark.parametrize("command", ["typecheck", "run"])
+    def test_lex_error_is_a_syntax_error(self, capsys, command, source):
+        code, _, err = run_cli(capsys, command, "-e", source)
+        assert code == 2
+        assert err.startswith("syntax error:")
+
     def test_no_prelude_flag(self, capsys):
         code, _, err = run_cli(capsys, "typecheck", "--no-prelude", "-e", "bcast")
         assert code == 1  # unbound without the prelude

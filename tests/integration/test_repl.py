@@ -70,6 +70,11 @@ class TestEvaluation:
     def test_parse_error_reported(self):
         assert "error:" in drive("fun ->")
 
+    def test_deep_nesting_parses_under_the_recursion_guard(self):
+        deep = "(" * 3000 + "1" + ")" * 3000
+        output = drive(deep, f":type {deep}")
+        assert output.splitlines() == ["- : int = 1", "- : int"]
+
 
 class TestMetaCommands:
     def test_type(self):

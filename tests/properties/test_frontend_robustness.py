@@ -21,7 +21,7 @@ from repro.semantics.errors import EvalError
 from repro.semantics.smallstep import evaluate
 
 _source_alphabet = st.text(
-    alphabet="abcxyz01 ()->=<>*+-/,;:!|'funletincaseofmkparputrefthenelseattrue",
+    alphabet="abcxyz01 ()->=<>*+-/,;:!|'funletincaseofmkparputrefthenelseattrue²٣é\f\v",
     max_size=60,
 )
 

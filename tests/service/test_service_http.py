@@ -127,6 +127,26 @@ class TestErrorMapping:
         assert status == 400
         assert body["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("program", ["é", "(* open", "12abc", "²", "٣ + 1"])
+    @pytest.mark.parametrize("route", ["/v1/typecheck", "/v1/run"])
+    def test_lex_error_is_400(self, client, route, program):
+        status, body, _ = client.request("POST", route, {"program": program})
+        assert status == 400
+        assert body["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("program", ["é", "(* open", "12abc"])
+    def test_lex_error_in_a_session_is_400(self, client, program):
+        _, body, _ = client.request("POST", "/v1/session", {})
+        sid = body["session"]
+        status, body, _ = client.request(
+            "POST", f"/v1/session/{sid}/define", {"name": "f", "source": program}
+        )
+        assert (status, body["error"]["kind"]) == (400, "parse")
+        status, body, _ = client.request(
+            "POST", f"/v1/session/{sid}/run", {"program": program}
+        )
+        assert (status, body["error"]["kind"]) == (400, "parse")
+
     def test_type_error_is_422(self, client):
         status, body, _ = client.request(
             "POST", "/v1/run", {"program": "mkpar (fun i -> mkpar (fun j -> j))"}
