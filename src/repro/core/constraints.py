@@ -472,12 +472,15 @@ def is_unsatisfiable(constraint: Constraint) -> bool:
     """True when no instantiation can ever satisfy ``C`` — the paper's
     ``Solve(C) = False``, the condition under which a typing rule fails.
 
-    When a trace is active (:mod:`repro.obs`) every check records a
-    ``solve`` span on the inference track carrying the verdict — this is
-    the per-rule ``Solve`` the typing rules' side conditions invoke, so
-    the spans line up one-to-one under the ``judgment`` spans.
+    Inside a trace window (:func:`repro.obs.window_open`) every check
+    records a ``solve`` span on the inference track carrying the
+    verdict.  Inference takes its checked pass in a window, which checks
+    this side condition at every rule, so the spans line up one-to-one
+    under the ``judgment`` spans.  The product pass outside a window
+    checks only at generalization points and the root, and records
+    nothing here.
     """
-    if not obs.is_tracing():
+    if not obs.window_open():
         return not is_satisfiable(constraint)
     started = time.perf_counter()
     unsat = not is_satisfiable(constraint)

@@ -20,7 +20,7 @@ judgements of Figures 8, 9 and 10 can be rendered verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro import obs, perf
 from repro.core.constraints import (
@@ -58,6 +58,7 @@ from repro.core.types import (
     TRef,
     TSum,
     TTuple,
+    TVar,
     Type,
     fresh_tvar,
 )
@@ -169,10 +170,11 @@ class Inferencer:
 
     def infer(self, env: TypeEnv, expr: Expr) -> Tuple[ConstrainedType, Derivation]:
         perf.increment("infer.nodes")
-        if obs.is_tracing():
-            # One span per typing judgment, nested by the recursion on
-            # the ``inference`` track; the applied rule name is attached
-            # once the premise sub-derivations have returned.
+        if obs.window_open():
+            # One span per typing judgment inside a trace window, nested
+            # by the recursion on the ``inference`` track; the applied
+            # rule name is attached once the premise sub-derivations
+            # have returned.
             with obs.span(
                 "judgment", obs.INFERENCE_TRACK, node=type(expr).__name__
             ) as extra:
@@ -419,12 +421,15 @@ class Inferencer:
 
 
 def type_expr_to_type(
-    annotation: TypeExpr, mapping: Optional[dict] = None
+    annotation: TypeExpr,
+    mapping: Optional[dict] = None,
+    fresh: Callable[[str], TVar] = fresh_tvar,
 ) -> Type:
     """Convert a syntactic type to a semantic one.
 
-    Each named type variable gets one fresh semantic variable, shared
-    across the whole annotation (so ``'a -> 'a`` relates its two sides).
+    Each named type variable gets one variable drawn from ``fresh``,
+    shared across the whole annotation (so ``'a -> 'a`` relates its two
+    sides).
     """
     if mapping is None:
         mapping = {}
@@ -432,27 +437,29 @@ def type_expr_to_type(
         return TBase(annotation.name)
     if isinstance(annotation, TEVar):
         if annotation.name not in mapping:
-            mapping[annotation.name] = fresh_tvar(f"u{annotation.name}")
+            mapping[annotation.name] = fresh(f"u{annotation.name}")
         return mapping[annotation.name]
     if isinstance(annotation, TEArrow):
         return TArrow(
-            type_expr_to_type(annotation.domain, mapping),
-            type_expr_to_type(annotation.codomain, mapping),
+            type_expr_to_type(annotation.domain, mapping, fresh),
+            type_expr_to_type(annotation.codomain, mapping, fresh),
         )
     if isinstance(annotation, TEProduct):
-        items = tuple(type_expr_to_type(item, mapping) for item in annotation.items)
+        items = tuple(
+            type_expr_to_type(item, mapping, fresh) for item in annotation.items
+        )
         if len(items) == 2:
             return TPair(items[0], items[1])
         return TTuple(items)
     if isinstance(annotation, TESum):
         return TSum(
-            type_expr_to_type(annotation.left, mapping),
-            type_expr_to_type(annotation.right, mapping),
+            type_expr_to_type(annotation.left, mapping, fresh),
+            type_expr_to_type(annotation.right, mapping, fresh),
         )
     if isinstance(annotation, TEPar):
-        return TPar(type_expr_to_type(annotation.content, mapping))
+        return TPar(type_expr_to_type(annotation.content, mapping, fresh))
     if isinstance(annotation, TERef):
-        return TRef(type_expr_to_type(annotation.content, mapping))
+        return TRef(type_expr_to_type(annotation.content, mapping, fresh))
     raise TypeError(f"type_expr_to_type: unknown node {type(annotation).__name__}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.core.constraints import (
     TRUE,
@@ -188,14 +188,18 @@ class Subst:
         return Subst(mapping)
 
 
-def instantiate(scheme: TypeScheme) -> ConstrainedType:
+def instantiate(
+    scheme: TypeScheme, fresh: Callable[[str], TVar] = fresh_tvar
+) -> ConstrainedType:
     """Definition 2 with fresh variables: the most general instance.
 
     Fresh variables have trivial basic constraints, so Definition 1 reduces
     to atom renaming here; later unifications re-introduce the images'
-    basic constraints through :meth:`Subst.apply_constrained`.
+    basic constraints through :meth:`Subst.apply_constrained`.  ``fresh``
+    draws the instance variables (an engine's own allocator, or the
+    global counter).
     """
-    mapping = {old: fresh_tvar("i") for old in scheme.quantified}
+    mapping = {old: fresh("i") for old in scheme.quantified}
     subst = Subst(mapping)
     return ConstrainedType(
         subst.apply_type(scheme.body.type),
@@ -216,19 +220,41 @@ def generalize(ct: ConstrainedType, env: "TypeEnv") -> TypeScheme:
 class TypeEnv:
     """An immutable typing environment ``E``: identifiers to type schemes."""
 
-    __slots__ = ("_bindings",)
+    __slots__ = ("_bindings", "_open")
 
     def __init__(self, bindings: Optional[Mapping[str, TypeScheme]] = None) -> None:
         self._bindings: Dict[str, TypeScheme] = dict(bindings or {})
+        #: Names bound to a scheme with free variables (see
+        #: :meth:`open_names`); None until first asked for.
+        self._open: Optional[Tuple[str, ...]] = None if self._bindings else ()
 
     @staticmethod
     def empty() -> "TypeEnv":
         return TypeEnv()
 
     def extend(self, name: str, scheme: TypeScheme) -> "TypeEnv":
-        bindings = dict(self._bindings)
-        bindings[name] = scheme
-        return TypeEnv(bindings)
+        env = TypeEnv.__new__(TypeEnv)
+        env._bindings = {**self._bindings, name: scheme}
+        opened = self._open
+        if opened is not None and name not in opened and scheme.free_vars():
+            opened = opened + (name,)
+        env._open = opened
+        return env
+
+    def open_names(self) -> Tuple[str, ...]:
+        """The names whose scheme has free variables.
+
+        A closed scheme (every prelude scheme) has no free variables
+        under any substitution, so environment free-variable sweeps only
+        need these bindings.  Computed once per environment and carried
+        through :meth:`extend`; a name may stay listed after a closed
+        scheme shadows it, which only costs a lookup.
+        """
+        if self._open is None:
+            self._open = tuple(
+                name for name, scheme in self._bindings.items() if scheme.free_vars()
+            )
+        return self._open
 
     def lookup(self, name: str) -> Optional[TypeScheme]:
         return self._bindings.get(name)

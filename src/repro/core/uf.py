@@ -14,11 +14,23 @@ scaling on large programs while producing **bit-identical** output:
 * **Mutable state lives outside the type layer.**  ``Type`` nodes are
   hash-consed and printable (:mod:`repro.core.types`); they never carry
   a mutable link field.  The union-find table is per-inference-run
-  state, and resolved types are *frozen* back into interned nodes at
-  every rule boundary (:meth:`UnionFind.resolve`), so pretty-printing,
-  :mod:`repro.core.normalize`, digests and the solver-memo keys of
-  :mod:`repro.core.constraints` observe exactly the interned nodes the
-  substitution engine would have produced.
+  state, and resolved types are *frozen* back into interned nodes
+  (:meth:`UnionFind.resolve`) wherever a pass checks ``Solve(C)``, so
+  pretty-printing, :mod:`repro.core.normalize`, digests and the
+  solver-memo keys of :mod:`repro.core.constraints` observe exactly the
+  interned nodes the substitution engine would have produced.
+
+* **Two passes over the same rules.**  The *checked pass*
+  (:func:`infer_with_derivation`, and :func:`infer` inside a trace
+  window) resolves and checks every judgment and builds the
+  :class:`~repro.core.infer.Derivation`.  The *product pass*
+  (:func:`infer` otherwise) builds no derivation and resolves and
+  checks only at generalization points — a ``let``'s bound and its
+  conclusion — and at the root: every rule conjoins its premises'
+  constraints, and resolution and exact pruning preserve
+  unsatisfiability, so a failing judgment still fails there (DESIGN
+  §13).  On any error the product pass re-runs the checked pass,
+  replaying its own fresh names, and raises that error.
 
 * **Rémy-style level-based generalization**: every variable records the
   ``let`` depth at which it was created; binding a variable demotes the
@@ -31,8 +43,8 @@ scaling on large programs while producing **bit-identical** output:
 * **Lazy constraint resolution**: ``CLoc`` atoms written during
   inference keep referencing variables by name; they are rewritten to
   the locality formula of the representative (and Definition 1's basic
-  constraints conjoined) only when a rule boundary resolves the
-  conclusion for its ``Solve(C)`` check.  The constraint trees that come
+  constraints conjoined) only when a pass resolves a conclusion for a
+  ``Solve(C)`` check.  The constraint trees that come
   out are the same interned nodes the substitution engine builds.
 
 Conformance is not accidental: every rule below consumes fresh
@@ -53,7 +65,7 @@ error messages.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs, perf
 from repro.core.constraints import (
@@ -389,18 +401,14 @@ class UnionFind:
 
     def env_free_vars(self, env: TypeEnv) -> FrozenSet[str]:
         """``env.apply(subst).free_vars()`` without building the applied
-        environment."""
+        environment.  Closed schemes stay closed under any binding, so
+        only the open ones are visited (:meth:`TypeEnv.open_names`)."""
         result: Set[str] = set()
-        for _, scheme in env.items():
-            result |= self.scheme_free_vars(scheme)
+        for name in env.open_names():
+            result |= self.scheme_free_vars(env.lookup(name))
         return frozenset(result)
 
-    # -- fresh variables ----------------------------------------------------
-
-    def fresh(self, hint: str) -> TVar:
-        var = fresh_tvar(hint)
-        self.level[var.name] = self.current_level
-        return var
+    # -- levels of fresh variables -------------------------------------------
 
     def note_vars(self, names: FrozenSet[str]) -> None:
         """Record the current level for any not-yet-seen variable (the
@@ -422,7 +430,7 @@ def uf_unify(uf: UnionFind, left: Type, right: Type, loc: Optional[Loc] = None) 
     same bindings in the same order; errors carry frozen types so the
     messages match the substitution engine's byte for byte.
     """
-    tracing = obs.is_tracing()
+    tracing = obs.window_open()
     started = time.perf_counter() if tracing else 0.0
     stack = [(left, right)]
     steps = 0
@@ -484,17 +492,41 @@ class UFInferencer:
     """The union-find twin of :class:`repro.core.infer.Inferencer`.
 
     Every rule consumes fresh variables in exactly the order the
-    substitution engine does, and every conclusion is resolved through
-    :meth:`UnionFind.resolve` at the rule boundary — the two engines'
-    outputs (types, constraints, derivations, errors) are interned-node
-    identical, which the differential harness enforces.
+    substitution engine does.  With ``checked=True`` every conclusion is
+    resolved through :meth:`UnionFind.resolve` at the rule boundary and
+    checked — the two engines' outputs (types, constraints, derivations,
+    errors) are interned-node identical, which the differential harness
+    enforces.  With ``checked=False`` (the product pass) conclusions stay
+    unresolved and derivation-free except at generalization points.
+
+    Every fresh variable comes from :meth:`draw`, which records it in
+    ``drawn``.  An engine built with ``replay`` hands out those names in
+    order instead, so a checked re-run of a failed product pass reports
+    the same raw variable names.
     """
 
-    def __init__(self, prune: bool = True) -> None:
+    def __init__(
+        self, prune: bool = True, checked: bool = True, replay: Sequence[TVar] = ()
+    ) -> None:
         self.uf = UnionFind()
         self.prune = prune
+        self.checked = checked
+        self.drawn: List[TVar] = []
+        self._replay = iter(replay)
 
     # -- helpers ----------------------------------------------------------
+
+    def draw(self, hint: str) -> TVar:
+        """The engine's one source of fresh variables."""
+        var = next(self._replay, None) or fresh_tvar(hint)
+        self.drawn.append(var)
+        return var
+
+    def fresh(self, hint: str) -> TVar:
+        """A fresh rule variable at the current ``let`` level."""
+        var = self.draw(hint)
+        self.uf.level[var.name] = self.uf.current_level
+        return var
 
     def _resolve(self, ct: ConstrainedType) -> ConstrainedType:
         return self.uf.resolve(ct)
@@ -503,7 +535,7 @@ class UFInferencer:
         uf_unify(self.uf, left, right, expr.loc)
 
     def _instantiate(self, scheme: TypeScheme) -> ConstrainedType:
-        ct = instantiate(scheme)
+        ct = instantiate(scheme, self.draw)
         self.uf.note_vars(self.uf.ct_free_vars(ct))
         return ct
 
@@ -512,15 +544,24 @@ class UFInferencer:
         rule: str,
         expr: Expr,
         ct: ConstrainedType,
-        premises: Tuple[Derivation, ...],
+        premises: Tuple[Optional[Derivation], ...],
         note: str = "",
-    ) -> Tuple[ConstrainedType, Derivation]:
-        """Fail the rule if its constraint is unsatisfiable (Solve = False)."""
+        point: bool = False,
+    ) -> Tuple[ConstrainedType, Optional[Derivation]]:
+        """Fail the rule if its constraint is unsatisfiable (Solve = False).
+
+        The product pass checks only at a generalization ``point``;
+        elsewhere it returns the conclusion unresolved.  It never builds
+        a derivation."""
+        if not (self.checked or point):
+            return ct, None
         resolved = self._resolve(ct)
         perf.increment("infer.solve_checks")
         if is_unsatisfiable(resolved.constraint):
             failure = Derivation(rule, expr, None, premises, note)
             raise_nesting(rule, expr, resolved, failure)
+        if not self.checked:
+            return resolved, None
         return resolved, Derivation(rule, expr, resolved, premises, note)
 
     def _generalize(self, ct: ConstrainedType, entry_level: int) -> TypeScheme:
@@ -553,9 +594,11 @@ class UFInferencer:
 
     # -- the rules of Figure 7 --------------------------------------------
 
-    def infer(self, env: TypeEnv, expr: Expr) -> Tuple[ConstrainedType, Derivation]:
+    def infer(
+        self, env: TypeEnv, expr: Expr
+    ) -> Tuple[ConstrainedType, Optional[Derivation]]:
         perf.increment("infer.nodes")
-        if obs.is_tracing():
+        if self.checked and obs.window_open():
             with obs.span(
                 "judgment", obs.INFERENCE_TRACK, node=type(expr).__name__
             ) as extra:
@@ -609,7 +652,7 @@ class UFInferencer:
 
     def _infer_annot(self, env: TypeEnv, expr: Annot):
         inner_ct, inner_d = self.infer(env, expr.expr)
-        annotation = type_expr_to_type(expr.annotation)
+        annotation = type_expr_to_type(expr.annotation, fresh=self.draw)
         self.uf.note_vars(self.uf.type_fv(annotation))
         self._unify(inner_ct.type, annotation, expr)
         inner_ct = self._resolve(inner_ct)
@@ -620,19 +663,19 @@ class UFInferencer:
                 basic_constraint(self.uf.freeze_type(annotation)),
             ),
         )
-        note = f"annotation: {expr.annotation}"
+        note = f"annotation: {expr.annotation}" if self.checked else ""
         return self._check("Annot", expr, ct, (inner_d,), note)
 
     def _infer_injection(self, env: TypeEnv, expr, left: bool):
         value_ct, value_d = self.infer(env, expr.value)
-        other = self.uf.fresh("s")
+        other = self.fresh("s")
         ty = TSum(value_ct.type, other) if left else TSum(other, value_ct.type)
         rule = "Inl" if left else "Inr"
         return self._check(rule, expr, ConstrainedType(ty, value_ct.constraint), (value_d,))
 
     def _infer_case(self, env: TypeEnv, expr: Case):
-        left_ty = self.uf.fresh("sl")
-        right_ty = self.uf.fresh("sr")
+        left_ty = self.fresh("sl")
+        right_ty = self.fresh("sr")
         scrut_ct, scrut_d = self.infer(env, expr.scrutinee)
         self._unify(scrut_ct.type, TSum(left_ty, right_ty), expr.scrutinee)
         left_env = env.extend(
@@ -659,7 +702,7 @@ class UFInferencer:
         return self._check("Case", expr, ct, (scrut_d, left_d, right_d))
 
     def _infer_fun(self, env: TypeEnv, expr: Fun) -> Tuple[ConstrainedType, Derivation]:
-        param_ty = self.uf.fresh("p")
+        param_ty = self.fresh("p")
         body_ct, body_d = self.infer(env.extend(expr.param, mono(param_ty)), expr.body)
         arrow = TArrow(self.uf.freeze_type(param_ty), body_ct.type)
         constraint = conj(basic_constraint(arrow), body_ct.constraint)
@@ -668,7 +711,7 @@ class UFInferencer:
     def _infer_app(self, env: TypeEnv, expr: App) -> Tuple[ConstrainedType, Derivation]:
         fn_ct, fn_d = self.infer(env, expr.fn)
         arg_ct, arg_d = self.infer(env, expr.arg)
-        result_ty = self.uf.fresh("r")
+        result_ty = self.fresh("r")
         self._unify(fn_ct.type, TArrow(arg_ct.type, result_ty), expr)
         fn_ct = self._resolve(fn_ct)
         arg_ct = self._resolve(arg_ct)
@@ -686,7 +729,11 @@ class UFInferencer:
             bound_ct, bound_d = self.infer(env, expr.bound)
         finally:
             uf.current_level = entry_level
-        bound_ct = self._resolve(bound_ct)
+        if self.checked:
+            bound_ct = self._resolve(bound_ct)
+        else:
+            # A generalization point: the product pass checks the bound.
+            bound_ct, _ = self._check("Let", expr, bound_ct, (), point=True)
         # The substitution engine resolves the environment once here
         # (``inner_env = env.apply(self.subst)``) and reuses that
         # snapshot for both prunes; mirror the snapshot exactly.
@@ -696,6 +743,8 @@ class UFInferencer:
         scheme = self._generalize(bound_ct, entry_level)
         body_ct, body_d = self.infer(env.extend(expr.name, scheme), expr.body)
         bound_ct = self._resolve(bound_ct)
+        if not self.checked:
+            body_ct = self._resolve(body_ct)  # pruning needs it resolved
         constraint = conj(
             bound_ct.constraint,
             body_ct.constraint,
@@ -704,8 +753,8 @@ class UFInferencer:
         ct = ConstrainedType(body_ct.type, constraint)
         if self.prune:
             ct = prune_constrained(ct, inner_fv)
-        note = f"{expr.name} : {scheme}"
-        return self._check("Let", expr, ct, (bound_d, body_d), note)
+        note = f"{expr.name} : {scheme}" if self.checked else ""
+        return self._check("Let", expr, ct, (bound_d, body_d), note, point=True)
 
     def _infer_pair(self, env: TypeEnv, expr: Pair) -> Tuple[ConstrainedType, Derivation]:
         first_ct, first_d = self.infer(env, expr.first)
@@ -778,7 +827,7 @@ class UFInferencer:
     def _infer_parvec(self, env: TypeEnv, expr: ParVec) -> Tuple[ConstrainedType, Derivation]:
         premises = []
         constraints = []
-        content_ty: Type = self.uf.fresh("v")
+        content_ty: Type = self.fresh("v")
         for item in expr.items:
             item_ct, item_d = self.infer(env, item)
             self._unify(item_ct.type, content_ty, item)
@@ -809,17 +858,42 @@ def infer(expr: Expr, env: Optional[TypeEnv] = None, prune: bool = True) -> Cons
     """Infer the constrained type of ``expr`` with the ``uf`` engine.
 
     Same contract (and bit-identical results, per the differential
-    harness) as :func:`repro.core.infer.infer`."""
-    engine = UFInferencer(prune=prune)
+    harness) as :func:`repro.core.infer.infer`.  Runs the product pass,
+    or the checked pass when a trace window is open (so the window gets
+    one ``judgment`` span per node)."""
+    environment = env or TypeEnv.empty()
+    checked = obs.window_open()
+    engine = UFInferencer(prune=prune, checked=checked)
     with perf.timed("infer"), obs.span("infer", obs.INFERENCE_TRACK), deep_recursion():
-        ct, _ = engine.infer(env or TypeEnv.empty(), expr)
-        final = engine.uf.resolve(ct)
+        try:
+            ct, _ = engine.infer(environment, expr)
+            if checked:
+                final = engine.uf.resolve(ct)
+            else:
+                final, _ = engine._check("Root", expr, ct, (), point=True)
+        except TypingError as failure:
+            if checked:
+                raise
+            raise _checked_error(engine, environment, expr, failure) from None
     if prune:
-        environment = env or TypeEnv.empty()
         final = prune_constrained(final, engine.uf.env_free_vars(environment))
     perf.increment("infer.runs")
     _flush_counters(engine)
     return final
+
+
+def _checked_error(
+    product: UFInferencer, env: TypeEnv, expr: Expr, failure: TypingError
+) -> TypingError:
+    """The error the checked pass raises on a program the product pass
+    rejected: the first failing rule and its message, with the fresh
+    names the product pass drew replayed in order."""
+    rerun = UFInferencer(prune=product.prune, checked=True, replay=product.drawn)
+    try:
+        rerun.infer(env, expr)
+    except TypingError as error:
+        return error
+    return failure
 
 
 def infer_with_derivation(

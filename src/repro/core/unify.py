@@ -35,7 +35,7 @@ def unify(left: Type, right: Type, loc: Optional[Loc] = None) -> Subst:
     Raises :class:`UnificationError` on a constructor clash and
     :class:`OccursCheckError` on a cyclic solution.
     """
-    tracing = obs.is_tracing()
+    tracing = obs.window_open()
     started = time.perf_counter() if tracing else 0.0
     subst = Subst.identity()
     stack = [(left, right)]

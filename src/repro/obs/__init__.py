@@ -35,6 +35,7 @@ from repro.obs.tracer import (
     start,
     stop,
     trace,
+    window_open,
 )
 from repro.obs.export import (
     TRACE_FORMATS,
@@ -97,6 +98,7 @@ __all__ = [
     "to_jsonl",
     "trace",
     "validate_chrome_trace",
+    "window_open",
     "write_chrome",
     "write_jsonl",
     "write_trace",

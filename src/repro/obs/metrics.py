@@ -11,8 +11,9 @@ Three sources feed the registry:
 
 * the **trace layer** — when metrics are enabled a module-global sink is
   registered with :mod:`repro.obs.tracer`; every finished span or event
-  (superstep compute/exchange/barrier phases, per-process tasks,
-  ``Solve``/unify/inference spans, fault/retry/rollback events) is
+  (superstep compute/exchange/barrier phases, per-process tasks, the
+  ``infer`` span of every inference plus the ``Solve``/unify/judgment
+  spans recorded inside trace windows, fault/retry/rollback events) is
   projected onto the standard histograms and counters below.  The sink
   is *not* context-local on purpose: per-request trace windows stay
   isolated in their :mod:`contextvars`, while the metrics aggregate
@@ -546,7 +547,8 @@ WORDS_TOTAL = _GLOBAL.counter(
 
 INFERENCE_SECONDS = _GLOBAL.histogram(
     "repro_inference_seconds",
-    "Type-inference span durations by kind (infer/judgment/solve/unify).",
+    "Type-inference span durations by kind: infer (every run), "
+    "judgment/solve/unify (inside trace windows only).",
     ("kind",),
 )
 

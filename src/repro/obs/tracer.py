@@ -13,16 +13,19 @@ timestamp) — laid out on named **tracks**:
   (compute / exchange / barrier), superstep commits with their
   committed :class:`~repro.bsp.cost.BspCost` row, retries and
   rollbacks;
-* an ``inference`` track carrying per-judgment spans of the type
-  inferencer and the ``Solve``/unification work under them.
+* an ``inference`` track carrying the ``infer`` span of each inference
+  run and, inside a trace window only (:func:`window_open`), the
+  per-judgment spans and the ``Solve``/unification work under them.
 
 Collection follows the exact opt-in, stack-shaped discipline of
 :mod:`repro.perf.counters`: :func:`trace` pushes a :class:`Trace` onto a
 **context-local** stack (a :class:`contextvars.ContextVar`), every
 instrumentation point guards itself with :func:`is_tracing` (one
 truthiness test when disabled — cheap enough for hot loops to call
-unconditionally), and finished records are appended to *all* active
-collectors, so nested scopes each see their own copy.  Context-locality
+unconditionally; the per-node inference sites use :func:`window_open`
+so that a process-global sink alone does not pay for them), and
+finished records are appended to *all* active collectors, so nested
+scopes each see their own copy.  Context-locality
 keeps concurrent requests of the long-running service from interleaving
 their spans into each other's traces: a trace window opened on one
 thread (or asyncio task) collects only that thread of control's records,
@@ -221,6 +224,16 @@ def is_tracing() -> bool:
     """True when any consumer wants records: a context-local collector
     in this context, or a process-global sink."""
     return bool(_ACTIVE.get()) or bool(_SINKS)
+
+
+def window_open() -> bool:
+    """True when a context-local trace window is open in this context.
+
+    The per-node inference sites (``judgment``, ``unify``, ``solve``)
+    test this rather than :func:`is_tracing`: a process-global sink
+    alone (the server's metrics) gets one ``infer`` span per inference,
+    not one record per typing judgment."""
+    return bool(_ACTIVE.get())
 
 
 def is_active(collector: Trace) -> bool:

@@ -620,12 +620,15 @@ def assert_infer_conformance(
 def infer_conformance_corpus() -> List[Tuple[str, str]]:
     """The corpus the infer-engine sweep runs: everything
     :func:`conformance_corpus` covers **plus** the curated rejected
-    programs (the sweep checks error parity on those)."""
-    from repro.testing.generators import CORPUS_REJECTED
+    programs and the ones whose errors name fresh variables (the sweep
+    checks error parity on those)."""
+    from repro.testing.generators import CORPUS_NAMED_ERRORS, CORPUS_REJECTED
 
     corpus = conformance_corpus()
     for index, source in enumerate(CORPUS_REJECTED):
         corpus.append((f"rejected[{index}]", source))
+    for index, source in enumerate(CORPUS_NAMED_ERRORS):
+        corpus.append((f"named-error[{index}]", source))
     return corpus
 
 

@@ -147,6 +147,22 @@ CORPUS_REJECTED: Tuple[str, ...] = (
 )
 
 
+#: Rejected programs whose error messages carry raw fresh-variable names
+#: (``'p217``).  Error parity on them needs the product inference pass to
+#: replay its own fresh names in the checked re-run (:mod:`repro.core.uf`).
+CORPUS_NAMED_ERRORS: Tuple[str, ...] = (
+    # occurs check: the message names the parameter's variable
+    "fun x -> x x",
+    # nesting inside a let bound, then a unification error in the body:
+    # the nesting error of the first failing rule (Pair) must win
+    "let f = fun y -> fun v -> (mkpar (fun i -> y), (if v at 0 then y else y)) in\n"
+    "1 + true",
+    # the same nesting with no let around it: the product pass meets the
+    # unification error first and must still report the nesting error
+    "(fun y -> fun v -> (mkpar (fun i -> y), (if v at 0 then y else y)), 1 + true)",
+)
+
+
 def well_typed_corpus() -> List[str]:
     """Every curated well-typed source program."""
     return list(CORPUS_LOCAL) + list(CORPUS_GLOBAL)

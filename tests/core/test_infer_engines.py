@@ -19,16 +19,29 @@ import inspect
 
 import pytest
 
-from repro import perf
+import itertools
+import re
+
+from repro import obs, perf
+from repro.core import types as core_types
+from repro.core.constraints import CLoc, imp
+from repro.core.errors import TypingError
 from repro.core.infer import INFER_ENGINES, infer, typechecks
 from repro.core.milner import milner_typechecks
+from repro.core.schemes import ConstrainedType, TypeEnv, TypeScheme
+from repro.core.types import TArrow, TVar
 from repro.lang.parser import parse_expression as parse
+from repro.service.handlers import ServiceConfig, ServiceCore
 from repro.testing import (
     assert_infer_conformance,
     infer_conformance_corpus,
     run_infer_engines,
 )
-from repro.testing.generators import ProgramGenerator, unsafe_corpus
+from repro.testing.generators import (
+    CORPUS_NAMED_ERRORS,
+    ProgramGenerator,
+    unsafe_corpus,
+)
 
 CORPUS = infer_conformance_corpus()
 GENERATED_SEEDS = 200
@@ -151,3 +164,146 @@ class TestUfCounters:
         with perf.collect() as stats:
             infer(parse(source), engine="uf")
         assert stats.counter("infer.uf.compressions") > 0
+
+
+def _verdict(expr, checked: bool):
+    """The product pass's (or, inside a trace window, the checked pass's)
+    answer: the constrained type, or the error message."""
+    try:
+        if checked:
+            with obs.trace():
+                return infer(expr)
+        return infer(expr)
+    except TypingError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+class TestProductPassErrorParity:
+    """The product pass checks Solve(C) only at generalization points and
+    re-runs the checked pass on any error, replaying its fresh names."""
+
+    @pytest.mark.parametrize("source", CORPUS_NAMED_ERRORS)
+    def test_named_errors_carry_fresh_names(self, source):
+        report = assert_infer_conformance(source)
+        assert not report.reference.ok
+        assert re.search(r"'[a-z]+\d+", report.reference.error), report.reference.error
+
+    def test_occurs_check_names_the_parameter(self):
+        report = assert_infer_conformance("fun x -> x x")
+        assert report.reference.error.startswith("OccursCheckError: occurs check: 'p")
+
+    def test_nesting_in_let_bound_beats_body_unification_error(self):
+        report = assert_infer_conformance(CORPUS_NAMED_ERRORS[1])
+        for run in report.runs:
+            assert run.error.startswith(
+                "NestingError: parallel-vector nesting rejected at rule (Pair)"
+            ), run.error
+
+    def test_nesting_outside_any_let_beats_later_unification_error(self):
+        report = assert_infer_conformance(CORPUS_NAMED_ERRORS[2])
+        for run in report.runs:
+            assert run.error.startswith("NestingError:"), run.error
+
+    def test_open_scheme_with_free_constraint_atoms_prunes_like_w(self):
+        """A session-style binding keeps a free constraint atom ``L(z)``;
+        the environment sweep must still count it at every ``let``."""
+        scheme = TypeScheme(
+            ("a",),
+            ConstrainedType(TArrow(TVar("a"), TVar("a")), imp(CLoc("z"), CLoc("a"))),
+        )
+        env = TypeEnv({"g": scheme})
+        expr = parse("fun w -> let y = g w in let k = y in k")
+        base = next(core_types._fresh_counter)
+        results = []
+        for engine in INFER_ENGINES:
+            core_types._fresh_counter = itertools.count(base)
+            results.append(infer(expr, env, engine=engine))
+        reference, union_find = results
+        assert union_find.type is reference.type
+        assert union_find.constraint is reference.constraint
+        assert "z" in str(reference.constraint)
+
+    def test_product_rejects_iff_checked_rejects(self):
+        """Property sweep over the generated and mutant seeds: the two
+        passes of the union-find engine agree on the verdict, and on the
+        exact type or error."""
+        programs = [
+            ProgramGenerator(seed=seed, p_hint=2).expression(depth=3 + seed % 4)
+            for seed in range(GENERATED_SEEDS)
+        ] + [
+            ProgramGenerator(seed=seed, p_hint=2).mutate_to_nesting(depth=3)
+            for seed in range(MUTANT_SEEDS)
+        ]
+        rejected = 0
+        for index, expr in enumerate(programs):
+            base = next(core_types._fresh_counter)
+            core_types._fresh_counter = itertools.count(base)
+            product = _verdict(expr, checked=False)
+            core_types._fresh_counter = itertools.count(base)
+            checked = _verdict(expr, checked=True)
+            if isinstance(product, str):
+                rejected += 1
+                assert product == checked, f"program {index}"
+            else:
+                assert not isinstance(checked, str), f"program {index}: {checked}"
+                assert product.type is checked.type, f"program {index}"
+                assert product.constraint is checked.constraint, f"program {index}"
+        assert rejected >= MUTANT_SEEDS
+
+
+def _let_chain(n: int) -> str:
+    lines = ["let x0 = 1 in"]
+    lines += [f"let x{j} = x{j - 1} + {j} in" for j in range(1, n)]
+    return "\n".join(lines) + f"\nx{n - 1}"
+
+
+class TestProductPassGuards:
+    """Deterministic guards on what the product pass does (no timing)."""
+
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    def test_solve_checks_are_linear_in_lets(self, n):
+        expr = parse(_let_chain(n))
+        with perf.collect() as stats:
+            infer(expr)
+        # A let's bound, its conclusion, and the root.
+        assert stats.counter("infer.solve_checks") == 2 * n + 1
+        assert stats.counter("infer.nodes") == expr.size()
+
+    def test_checked_pass_checks_every_judgment(self):
+        expr = parse(_let_chain(10))
+        with perf.collect() as stats, obs.trace() as window:
+            infer(expr)
+        assert stats.counter("infer.solve_checks") == expr.size()
+        assert len(window.spans("judgment")) == expr.size()
+        assert len(window.spans("solve")) == expr.size()
+
+    def test_product_pass_emits_no_per_node_records(self):
+        records = []
+        sink = records.append
+        obs.add_sink(sink)
+        try:
+            infer(parse(_let_chain(5)))
+        finally:
+            obs.remove_sink(sink)
+        assert [record.name for record in records] == ["infer"]
+
+    def test_untraced_typecheck_sends_one_inference_record(self):
+        from repro.core.prelude_env import prelude_env
+
+        prelude_env()  # built once per process; keep it out of the count
+        core = ServiceCore(ServiceConfig(trace_summaries=False))
+        records = []
+
+        def sink(record):
+            if record.track == obs.INFERENCE_TRACK:
+                records.append(record.name)
+
+        obs.metrics.enable()
+        obs.add_sink(sink)
+        try:
+            status, _, cache = core.handle_typecheck({"program": _let_chain(8)})
+        finally:
+            obs.remove_sink(sink)
+            obs.metrics.disable()
+        assert (status, cache) == (200, "miss")
+        assert records == ["infer"]
