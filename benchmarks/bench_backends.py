@@ -89,9 +89,7 @@ def test_backends_agree_and_overhead_is_bounded(benchmark):
     )
 
     # Dispatch overhead guard, on the cheapest possible per-task work:
-    # thread dispatch must stay within 10x of the in-line loop.  The
-    # process backend is exempt — crossing a process boundary per task
-    # costs real IPC and is priced as such in EXPERIMENTS.md.
+    # thread dispatch must stay within 10x of the in-line loop.
     assert timings["thread"] < 10 * sequential, (
         f"thread dispatch overhead blew up: {timings['thread'] * 1e3:.1f} ms "
         f"vs sequential {sequential * 1e3:.1f} ms"

@@ -97,10 +97,7 @@ def _contains_vector(value: Any) -> bool:
 
 # -- per-process tasks for the execution backends ----------------------------
 #
-# Module-level so a ``functools.partial`` over them pickles whenever the
-# user's function does (a module-level function crosses to a process-pool
-# worker; a lambda or a closure over the context falls back to inline
-# execution — see ``repro.bsp.executor.ProcessExecutor``).  Each returns
+# Module-level functions bound with ``functools.partial``.  Each returns
 # ``(value, ops)``: one abstract op per component application, exactly
 # what the primitives used to charge in-line.
 

@@ -4,7 +4,6 @@ pluggable execution backends, and deterministic fault injection."""
 from repro.bsp.cost import BspCost, SuperstepCost
 from repro.bsp.executor import (
     BACKENDS,
-    ProcessExecutor,
     SequentialExecutor,
     ThreadExecutor,
     get_executor,
@@ -50,7 +49,6 @@ __all__ = [
     "MessageFault",
     "PREDEFINED",
     "ProcOutcome",
-    "ProcessExecutor",
     "RetryPolicy",
     "SequentialExecutor",
     "SuperstepCost",

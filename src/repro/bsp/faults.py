@@ -3,7 +3,7 @@
 The simulator's soundness story ("well-typed programs don't go wrong")
 is only as good as the machine's *error paths*: a worker that dies, a
 task that never returns, a message that gets dropped on the wire, a
-process pool that breaks mid-superstep.  This module makes every one of
+worker pool that breaks mid-superstep.  This module makes every one of
 those failure modes **injectable, deterministic and recoverable**:
 
 * :class:`FaultPlan` — a seed-driven plan that decides, reproducibly,
@@ -11,7 +11,7 @@ those failure modes **injectable, deterministic and recoverable**:
   coordinator in program order, so the *same* plan (same seed, same
   rates) makes the *same* decisions on every execution backend — which
   is what lets the chaos conformance sweep demand bit-identical values
-  and costs across seq/thread/process under a survivable plan;
+  and costs across seq/thread under a survivable plan;
 * :class:`RetryPolicy` — bounded retry with exponential backoff and
   deterministic jitter for transient (injected or genuine) faults;
 * :class:`SuperstepFault` — the typed failure raised when a superstep
@@ -392,10 +392,8 @@ def parse_fault_spec(spec: str) -> Tuple[FaultPlan, Optional[RetryPolicy]]:
 
 # -- injected task bodies -----------------------------------------------------
 #
-# Module-level so the injection wrappers pickle whenever plain tasks do:
-# the process backend ships injected tasks to its workers exactly like
-# healthy ones, and the crash/timeout surfaces wherever the task would
-# have run.
+# The machine hands injected tasks to the executor exactly like healthy
+# ones, so the crash/timeout surfaces wherever the task would have run.
 
 
 def _raise_worker_crash(proc: int, attempt: int):

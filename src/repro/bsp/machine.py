@@ -14,8 +14,8 @@ with an empty relation (``if ... at ...`` uses an explicit small one).
 
 Since the executor layer (:mod:`repro.bsp.executor`) the machine also
 *executes*: :meth:`BspMachine.run_superstep` runs one task per process on
-a pluggable backend (sequential, threads, processes), folds the tasks'
-abstract op counts into the ``w_i`` work accounting, and records their
+a pluggable backend (sequential or threads), folds the tasks' abstract
+op counts into the ``w_i`` work accounting, and records their
 measured wall-clock seconds alongside (carried on
 :class:`~repro.bsp.cost.SuperstepCost` but excluded from equality, so
 cost accounting stays backend-independent).
@@ -39,8 +39,6 @@ from __future__ import annotations
 import time
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from concurrent.futures import BrokenExecutor
 
 from repro import obs, perf
 from repro.bsp.cost import BspCost, SuperstepCost
@@ -99,7 +97,7 @@ def _fault_kind(error: BaseException) -> str:
         return "crash"
     if isinstance(error, TaskTimeout):
         return "timeout"
-    if isinstance(error, (BrokenPool, BrokenExecutor)):
+    if isinstance(error, BrokenPool):
         return "pool"
     return "error"
 
@@ -110,8 +108,8 @@ class BspMachine:
     ``faults`` optionally arms a deterministic
     :class:`~repro.bsp.faults.FaultPlan`; ``retry`` optionally sets the
     :class:`~repro.bsp.faults.RetryPolicy` applied to transient faults
-    (injected ones *and* genuine broken pools).  Without a policy every
-    transient fault is fatal — but still atomic.
+    (the injected ones).  Without a policy every transient fault is
+    fatal — but still atomic.
     """
 
     def __init__(
@@ -219,9 +217,8 @@ class BspMachine:
         only when every process has a value; on any failure the machine
         is left exactly as it was.  Transient faults — injected crashes,
         timeouts and pool breaks from an armed
-        :class:`~repro.bsp.faults.FaultPlan`, or a genuine
-        ``BrokenExecutor`` — are retried under the machine's
-        :class:`~repro.bsp.faults.RetryPolicy` (only the processes that
+        :class:`~repro.bsp.faults.FaultPlan` — are retried under the
+        machine's :class:`~repro.bsp.faults.RetryPolicy` (only the processes that
         failed re-run, so recovered user code executes exactly once);
         when retries are exhausted (or no policy is set) a
         :class:`~repro.bsp.faults.SuperstepFault` carrying the
@@ -315,7 +312,7 @@ class BspMachine:
                 elif outcome.error is None:
                     final[proc] = outcome
                     status[proc], detail[proc] = "ok", ""
-                elif isinstance(outcome.error, (TransientFault, BrokenExecutor)):
+                elif isinstance(outcome.error, TransientFault):
                     still_pending.append(proc)
                     status[proc] = _fault_kind(outcome.error)
                     detail[proc] = str(outcome.error)

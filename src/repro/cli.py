@@ -18,6 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import obs, perf, run_program, typecheck_scheme
+from repro.bsp import BACKENDS
 from repro.core import TypingError, explain as explain_expr
 from repro.lang import LexError, ParseError, parse_program, pretty, with_prelude
 from repro.lang.errors import ReproError
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=("seq", "thread", "process"),
+        choices=BACKENDS,
         default="seq",
         help="execution backend for the per-process computation phases "
         "(value and abstract cost are backend-independent)",
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--backend",
-        choices=("seq", "thread", "process"),
+        choices=BACKENDS,
         default="seq",
         help="execution backend for the per-process computation phases",
     )
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     repl.add_argument(
         "--backend",
-        choices=("seq", "thread", "process"),
+        choices=BACKENDS,
         default="seq",
         help="initial execution backend (also :backend in the session)",
     )
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-l", type=float, default=20.0, help="default BSP l parameter")
     serve.add_argument(
         "--backend",
-        choices=("seq", "thread", "process"),
+        choices=BACKENDS,
         default="seq",
         help="default execution backend (requests may override)",
     )

@@ -42,9 +42,9 @@ coordinator-measured phase spans share one timeline.  Exporters
 indices, abstract op counts, h-relations, fault outcomes) from what is
 *measured* (timestamps, durations, wall-clock seconds, backend names).
 :meth:`Trace.abstract_signature` projects a trace onto its deterministic
-part: records whose name starts with ``backend.`` (pickling fallbacks,
-pool recycling — legitimate per-backend behaviour) are dropped, and arg
-keys in :data:`NONABSTRACT_ARGS` are filtered out.  The differential
+part: records whose name starts with ``backend.`` (pool recycling,
+re-entrant inline runs — legitimate per-backend behaviour) are dropped,
+and arg keys in :data:`NONABSTRACT_ARGS` are filtered out.  The differential
 conformance harness (:mod:`repro.testing.differential`) demands that
 this signature be bit-identical across execution backends — the tracing
 analogue of comparing :class:`~repro.bsp.cost.BspCost` tables exactly.
@@ -66,10 +66,10 @@ INFERENCE_TRACK = "inference"
 
 #: Arg keys that carry measured (timing- or backend-dependent) data and
 #: are therefore excluded from :meth:`Trace.abstract_signature`.
-NONABSTRACT_ARGS = frozenset({"seconds", "ms", "backend", "cause"})
+NONABSTRACT_ARGS = frozenset({"seconds", "ms", "backend"})
 
 #: Record-name prefixes whose records are backend-specific lifecycle
-#: (inline fallbacks, pool recycling) and excluded from the signature.
+#: (pool recycling, re-entrant inline runs) and excluded from the signature.
 NONABSTRACT_PREFIXES = ("backend.",)
 
 

@@ -19,7 +19,7 @@ Meta-commands::
     :metrics         print the Prometheus exposition of the session's
                      metrics (:metrics on|off toggles collection,
                      :metrics reset zeroes every series)
-    :backend [name]  show or switch the execution backend (seq/thread/process)
+    :backend [name]  show or switch the execution backend (seq/thread)
     :faults [SPEC]   show, arm (e.g. seed=42,crash=0.1,attempts=4) or
                      disarm (:faults off) deterministic fault injection
     :reset           forget definitions and cost

@@ -59,7 +59,6 @@ from repro.semantics.values import (
     NC_VALUE,
     Value,
     VClosure,
-    VCompiledClosure,
     VDelivered,
     VInl,
     VInr,
@@ -198,14 +197,6 @@ class Evaluator:
     def apply(self, fn: Value, arg: Value) -> Value:
         if isinstance(fn, VClosure):
             return self._eval(fn.body, {**fn.env, fn.param: arg})
-        if isinstance(fn, VCompiledClosure):
-            # Engine interop (an oracle may hand this evaluator values
-            # the compiled engine built): run the compiled closure with
-            # this evaluator's context so charges land exactly where the
-            # tree evaluator would put them.
-            from repro.semantics.compiled import call_compiled
-
-            return call_compiled(self, fn, arg)
         if isinstance(fn, VDelivered):
             if isinstance(arg, bool) or not isinstance(arg, int):
                 raise EvalError("a delivered-messages function expects an int")
@@ -263,10 +254,6 @@ class Evaluator:
     def _fix(self, fn: Value) -> Value:
         """Call-by-value fixpoint: ``fix (fun f -> fun x -> e)`` ties the
         recursive closure's knot through its own environment."""
-        if isinstance(fn, VCompiledClosure):
-            from repro.semantics.compiled import fix_value
-
-            return fix_value(self.p, fn)
         if not isinstance(fn, VClosure):
             raise EvalError("'fix' expects a function")
         if not isinstance(fn.body, Fun):
@@ -380,9 +367,9 @@ class Evaluator:
 
 # -- per-process tasks for the execution backends ----------------------------
 #
-# Module-level (hence picklable) functions building one process's share of
-# a parallel operation.  Each creates a *shadow* evaluator: machine-less,
-# pinned to the process, counting its ops locally.  The shadow enforces
+# Module-level functions building one process's share of a parallel
+# operation, bound with ``functools.partial``.  Each creates a *shadow*
+# evaluator: machine-less, pinned to the process, counting its ops locally.  The shadow enforces
 # the same locality discipline as the in-line path (its ``_proc`` is set,
 # so any nested parallel construct raises ``DynamicNestingError``), and
 # the op totals it returns are exactly what the in-line path would have

@@ -12,7 +12,7 @@ runs the closures:
   slot of a flat per-activation frame, laid out ``[argument, *captured
   cells, *let slots]``; variable access is a list index, closure
   creation copies exactly the captured free variables (de Bruijn-style,
-  but keeping names for diagnostics and interop);
+  but keeping names for diagnostics and reification);
 * **no per-node dispatch** — the ``isinstance`` chain runs once, at
   compile time; at run time each node is a direct call;
 * **constant folding** — a closed subexpression that provably terminates
@@ -90,7 +90,6 @@ from repro.semantics.primops import (
 from repro.semantics.values import (
     NC_VALUE,
     Value,
-    VClosure,
     VCompiledClosure,
     VDelivered,
     VInl,
@@ -542,7 +541,7 @@ def _compile_app(expr: App, scope: _Scope, p: int) -> Callable:
 # -- application --------------------------------------------------------------
 
 
-def _call_compiled(rt: _Runtime, closure: VCompiledClosure, arg: Value) -> Value:
+def _call_closure(rt: _Runtime, closure: VCompiledClosure, arg: Value) -> Value:
     frame = [None] * closure.frame_size
     frame[0] = arg
     cells = closure.cells
@@ -554,7 +553,7 @@ def _call_compiled(rt: _Runtime, closure: VCompiledClosure, arg: Value) -> Value
 def apply_value(rt: _Runtime, fn: Value, arg: Value) -> Value:
     """Apply ``fn`` to ``arg`` — the compiled engine's beta/delta rule."""
     if type(fn) is VCompiledClosure:
-        return _call_compiled(rt, fn, arg)
+        return _call_closure(rt, fn, arg)
     return _apply_slow(rt, fn, arg)
 
 
@@ -565,39 +564,7 @@ def _apply_slow(rt: _Runtime, fn: Value, arg: Value) -> Value:
         return fn.lookup(arg)
     if isinstance(fn, VPrim):
         return _apply_prim_value(rt, fn.name, arg)
-    if isinstance(fn, VClosure):
-        return _apply_tree_closure(rt, fn, arg)
     raise EvalError(f"cannot apply a non-function ({type(fn).__name__})")
-
-
-def _apply_tree_closure(rt: _Runtime, closure: VClosure, arg: Value) -> Value:
-    """Engine interop: apply a tree-engine closure from compiled code.
-
-    A shadow :class:`Evaluator` mirrors this runtime's context, so
-    charges land exactly where the tree engine would put them (counted
-    locally in component mode, otherwise straight onto the machine).
-    """
-    evaluator = Evaluator(rt.p, None if rt.counting else rt.machine)
-    evaluator._proc = rt.proc
-    evaluator._counting = rt.counting
-    value = evaluator._eval(closure.body, {**closure.env, closure.param: arg})
-    if rt.counting:
-        rt.counted += evaluator._counted_ops
-    return value
-
-
-def call_compiled(evaluator: Evaluator, closure: VCompiledClosure, arg: Value) -> Value:
-    """Engine interop: apply a compiled closure from the tree evaluator."""
-    rt = _Runtime(
-        evaluator.p,
-        None if evaluator._counting else evaluator.machine,
-        proc=evaluator._proc,
-        counting=evaluator._counting,
-    )
-    value = _call_compiled(rt, closure, arg)
-    if evaluator._counting:
-        evaluator._counted_ops += rt.counted
-    return value
 
 
 def _apply_prim_value(rt: _Runtime, name: str, arg: Value) -> Value:
@@ -642,38 +609,27 @@ def _apply_prim_value(rt: _Runtime, name: str, arg: Value) -> Value:
 
 
 def fix_value(p: int, fn: Value) -> Value:
-    """Call-by-value fixpoint over either engine's closures.
+    """Call-by-value fixpoint over a compiled closure.
 
-    For a compiled closure the knot is tied by *patching*: the outer
+    The knot is tied by *patching*: the outer
     closure's body is a ``Fun`` node, so invoking its compiled code
     (zero charge — closure creation costs nothing) yields the inner
     closure with a placeholder in the self-capture cell, which is then
     replaced by the inner closure itself.  Later activations copy the
     patched cell into their frames, so recursion works at any depth.
     """
-    if isinstance(fn, VCompiledClosure):
-        if not isinstance(fn.body, Fun):
-            raise EvalError(
-                "'fix' needs a functional body (fix (fun f -> fun x -> ...)); "
-                "any other call-by-value fixpoint diverges"
-            )
-        rt = _Runtime(p)
-        inner = _call_compiled(rt, fn, None)
-        for index, name in enumerate(inner.capture_names):
-            if name == fn.param:
-                inner.cells[index] = inner
-        return inner
-    if isinstance(fn, VClosure):
-        if not isinstance(fn.body, Fun):
-            raise EvalError(
-                "'fix' needs a functional body (fix (fun f -> fun x -> ...)); "
-                "any other call-by-value fixpoint diverges"
-            )
-        env: Dict[str, Value] = dict(fn.env)
-        recursive = VClosure(fn.body.param, fn.body.body, env)
-        env[fn.param] = recursive
-        return recursive
-    raise EvalError("'fix' expects a function")
+    if not isinstance(fn, VCompiledClosure):
+        raise EvalError("'fix' expects a function")
+    if not isinstance(fn.body, Fun):
+        raise EvalError(
+            "'fix' needs a functional body (fix (fun f -> fun x -> ...)); "
+            "any other call-by-value fixpoint diverges"
+        )
+    inner = _call_closure(_Runtime(p), fn, None)
+    for index, name in enumerate(inner.capture_names):
+        if name == fn.param:
+            inner.cells[index] = inner
+    return inner
 
 
 # -- the parallel operations --------------------------------------------------
@@ -681,9 +637,7 @@ def fix_value(p: int, fn: Value) -> Value:
 # These mirror the tree engine's machine interactions call for call: the
 # same run_superstep task structure with identical per-task op counts,
 # the same exchange matrices under the same labels.  The per-process
-# tasks are module-level (hence picklable when their arguments are;
-# compiled closures are not, which makes the process backend fall back
-# inline exactly as it does for any closure-carrying task).
+# tasks are module-level functions bound with ``functools.partial``.
 
 
 def _component_task(p: int, proc: int, fn: Value, arg: Value):

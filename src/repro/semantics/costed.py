@@ -56,7 +56,7 @@ def run_costed(
     """Evaluate ``expr`` at size ``params.p`` with full cost accounting.
 
     ``backend`` selects the execution backend for the per-process
-    computation phases (``seq``, ``thread`` or ``process``; see
+    computation phases (``seq`` or ``thread``; see
     :mod:`repro.bsp.executor`).  The value and the abstract cost are
     identical on every backend — the differential harness in
     :mod:`repro.testing.differential` enforces exactly that.

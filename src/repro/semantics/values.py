@@ -89,17 +89,6 @@ class VRef:
         first = self.cells[0]
         return all(cell == first for cell in self.cells[1:])
 
-    def __reduce__(self):
-        # References are identity-bearing mutable cells: pickling one
-        # (e.g. to ship a task to a process-pool worker) would silently
-        # turn aliasing into copying and lose assignments made in the
-        # child.  Refusing makes the process backend fall back to inline
-        # execution for any task whose environment contains a reference.
-        raise TypeError(
-            "a mutable reference cannot be pickled (aliasing would become "
-            "copying); reference-touching tasks must run in-process"
-        )
-
 
 @dataclass(frozen=True)
 class VNc:

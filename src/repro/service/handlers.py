@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs, perf
-from repro.bsp import BspFaultError, BspParams, FaultSpecError, parse_fault_spec
+from repro.bsp import (
+    BspFaultError,
+    BspParams,
+    FaultSpecError,
+    get_executor,
+    parse_fault_spec,
+)
 from repro.core.constraints import TRUE, constraint_atoms, render_constraint
 from repro.core.digest import expr_digest, program_digest
 from repro.core.errors import TypingError
@@ -244,6 +250,10 @@ class ServiceCore:
                 raise RequestError(
                     400, "bad-request", f"{knob} must be a finite non-negative number"
                 )
+        try:
+            get_executor(options["backend"])
+        except ValueError as error:
+            raise RequestError(400, "bad-request", str(error)) from None
         for knob in ("typed", "prelude"):
             if not isinstance(options[knob], bool):
                 raise RequestError(400, "bad-request", f"{knob} must be a boolean")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bsp import BACKENDS
 from repro.cli import main
 
 
@@ -255,7 +256,7 @@ class TestBackendFlag:
 
     def test_every_backend_prints_the_same_result(self, capsys):
         outputs = {}
-        for backend in ("seq", "thread", "process"):
+        for backend in BACKENDS:
             code, out, _ = run_cli(
                 capsys,
                 "run",
@@ -270,11 +271,10 @@ class TestBackendFlag:
             assert code == 0
             outputs[backend] = out
         # Value line and the whole cost table must be reproduced verbatim
-        # by the concurrent backends once the wall-clock artifacts (the
+        # by the concurrent backend once the wall-clock artifacts (the
         # measured ms column and the measured-compute summary) are
         # stripped — those legitimately vary per backend.
         assert strip_measured(outputs["thread"]) == strip_measured(outputs["seq"])
-        assert strip_measured(outputs["process"]) == strip_measured(outputs["seq"])
 
     def test_backend_defaults_to_sequential(self, capsys):
         code, out, _ = run_cli(capsys, "run", "-e", "1 + 2")
@@ -284,6 +284,11 @@ class TestBackendFlag:
     def test_unknown_backend_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(capsys, "run", "--backend", "gpu", "-e", "1")
+        assert excinfo.value.code == 2
+
+    def test_process_backend_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "run", "--backend", "process", "-e", "1")
         assert excinfo.value.code == 2
 
 
@@ -313,7 +318,7 @@ class TestFaultsFlag:
 
     def test_faults_work_on_every_backend(self, capsys):
         outputs = []
-        for backend in ("seq", "thread", "process"):
+        for backend in BACKENDS:
             code, out, _ = run_cli(
                 capsys,
                 "run",
@@ -327,7 +332,7 @@ class TestFaultsFlag:
             )
             assert code == 0
             outputs.append(self._abstract(out))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_bad_spec_is_a_one_line_error(self, capsys):
         code, _, err = run_cli(
@@ -377,7 +382,7 @@ class TestBackendErrors:
         monkeypatch.delitem(executor_mod._SHARED, "thread", raising=False)
         assert code == 1
         assert err.startswith("error: backend 'thread' is unavailable")
-        assert "valid backends: seq, thread, process" in err
+        assert "valid backends: seq, thread" in err
         assert "Traceback" not in err
 
 

@@ -187,29 +187,35 @@ class TestBackendCommand:
     def test_backend_shows_current_and_available(self):
         out = drive(":backend")
         assert "backend: seq" in out
-        assert "thread" in out and "process" in out
+        assert "(available: seq, thread)" in out
 
     def test_backend_switch_preserves_session_state(self):
         out = drive(
             "let v = mkpar (fun i -> i * i)",
             ":backend thread",
             "bcast 3 v",
-            ":backend process",
+            ":backend seq",
             "bcast 3 v",
         )
         assert "backend switched to thread" in out
-        assert "backend switched to process" in out
+        assert "backend switched to seq" in out
         assert out.count("- : int par = <9, 9, 9, 9>") == 2
 
     def test_backend_results_match_sequential(self):
         program = "put (mkpar (fun s -> fun d -> s + d))"
         expected = drive(program)
-        for backend in ("thread", "process"):
-            assert drive(f":backend {backend}", program).endswith(expected)
+        assert drive(":backend thread", program).endswith(expected)
 
     def test_unknown_backend_is_reported_not_fatal(self):
         out = drive(":backend gpu", "1 + 1")
         assert "error: unknown backend" in out
+        assert "- : int = 2" in out
+
+    def test_process_backend_is_gone(self):
+        out = drive(":backend thread", ":backend process", ":backend", "1 + 1")
+        assert "error: unknown backend 'process'" in out
+        # The session stays on the backend it had before the bad switch.
+        assert "backend: thread" in out
         assert "- : int = 2" in out
 
     def test_initial_backend_parameter(self):

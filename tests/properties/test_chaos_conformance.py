@@ -28,9 +28,8 @@ SWEEP_POLICY = RetryPolicy(max_attempts=6)
 # -- chaos corpus -------------------------------------------------------------
 #
 # BSMLlib programs built from module-level functions (and partials over
-# them) so their tasks pickle and genuinely cross into process-pool
-# workers, plus interpreter sources whose closures exercise the inline
-# fallback path.  Every program is deterministic.
+# them), plus interpreter sources whose per-process tasks carry
+# closures.  Every program is deterministic.
 
 
 def _square(i):
@@ -112,7 +111,7 @@ PROGRAMS = [
 
 def test_chaos_sweep_over_seeded_plans():
     """Acceptance: >= 100 seeded survivable plans, values and cost
-    bit-identical across seq/thread/process; any unsurvivable plan in
+    bit-identical across seq/thread; any unsurvivable plan in
     the sweep fails atomically on every backend."""
     survivable = 0
     for seed in range(SEEDS):

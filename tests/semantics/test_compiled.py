@@ -1,6 +1,6 @@
 """Unit tests for the closure-compiling evaluator: slot layout, constant
-folding, cost identity with the tree engine, closure interop in both
-directions, and the engine selection surface."""
+folding, cost identity with the tree engine, closures staying within the
+engine that built them, and the engine selection surface."""
 
 from __future__ import annotations
 
@@ -171,57 +171,24 @@ def test_recursive_closure_reify_raises_like_tree():
             reify(value)
 
 
-# -- engine interop -----------------------------------------------------------
+# -- one closure representation per run ------------------------------------
 
 
-def test_tree_evaluator_applies_compiled_closure():
-    fn = CompiledEvaluator(PARAMS.p).eval(parse_expression("fun x -> x * x"))
-    assert isinstance(fn, VCompiledClosure)
-    machine = BspMachine(PARAMS)
-    tree = Evaluator(PARAMS.p, machine)
-    assert tree.eval(parse_expression("f 9"), {"f": fn}) == 81
-
-
-def test_compiled_evaluator_applies_tree_closure():
-    fn = Evaluator(PARAMS.p).eval(parse_expression("fun x -> x * x"))
-    assert isinstance(fn, VClosure)
-    machine = BspMachine(PARAMS)
-    compiled = CompiledEvaluator(PARAMS.p, machine)
-    assert compiled.eval(parse_expression("f 9"), {"f": fn}) == 9 * 9
-
-
-def test_mixed_engine_costs_agree():
-    # Cross-engine application charges exactly what a same-engine
-    # application would: compare f 9 under each pairing.
-    fn_sources = "fun x -> let y = x + 1 in y * y"
-    costs = []
-    for maker in (Evaluator, CompiledEvaluator):
-        fn = maker(PARAMS.p).eval(parse_expression(fn_sources))
-        for runner in (Evaluator, CompiledEvaluator):
-            machine = BspMachine(PARAMS)
-            value = runner(PARAMS.p, machine).eval(
-                parse_expression("f 9"), {"f": fn}
-            )
-            assert value == 100
-            costs.append(machine.cost())
-    assert all(cost == costs[0] for cost in costs[1:])
-
-
-def test_mixed_closures_inside_parallel_tasks():
-    # A tree closure captured into a compiled-engine mkpar (and vice
-    # versa) runs inside the per-process tasks with identical costs.
-    fn_expr = parse_expression("fun i -> i * i")
+def test_closures_do_not_cross_engines():
+    # Each engine applies only the closures it built; a foreign closure
+    # is rejected rather than silently bridged.
+    fn_expr = parse_expression("fun x -> x * x")
     for maker, runner in (
         (Evaluator, CompiledEvaluator),
         (CompiledEvaluator, Evaluator),
     ):
         fn = maker(PARAMS.p).eval(fn_expr)
-        machine = BspMachine(PARAMS)
-        value = runner(PARAMS.p, machine).eval(
-            parse_expression("mkpar f"), {"f": fn}
-        )
-        assert isinstance(value, VParVec)
-        assert value.items == (0, 1, 4, 9)
+        with pytest.raises(EvalError, match="non-function"):
+            runner(PARAMS.p, BspMachine(PARAMS)).eval(
+                parse_expression("f 9"), {"f": fn}
+            )
+        with pytest.raises(EvalError, match="'fix' expects a function"):
+            runner(PARAMS.p).eval(parse_expression("fix f"), {"f": fn})
 
 
 # -- compile once, run many ---------------------------------------------------

@@ -174,6 +174,16 @@ class TestErrorMapping:
             assert status == 400, bad
             assert body["error"]["kind"] == "bad-request", bad
 
+    def test_bad_backend_is_400(self, client):
+        for bad in (5, None, ["seq"], "process"):
+            for route in ("/v1/run", "/v1/typecheck"):
+                status, body, _ = client.request(
+                    "POST", route, {"program": "1 + 1", "backend": bad}
+                )
+                assert status == 400, (route, bad)
+                assert body["error"]["kind"] == "bad-request", (route, bad)
+                assert "choose from seq, thread" in body["error"]["message"]
+
     def test_malformed_json_is_400(self, client):
         conn = client.connect()
         try:
