@@ -26,7 +26,7 @@ import time
 
 from repro.bsp.executor import BACKENDS
 from repro.bsp.params import BspParams
-from repro.testing import ProgramGenerator, conformance_corpus, run_differential
+from repro.testing import ProgramGenerator, conform, conformance_corpus
 
 from _util import write_table
 
@@ -44,23 +44,34 @@ def _workload():
         yield name, source, True
 
 
+def _backends(program, prelude, backends=BACKENDS):
+    """The backend axis alone, on the tree engine, untyped."""
+    return conform(
+        program,
+        params=PARAMS,
+        backends=backends,
+        engines=("tree",),
+        infer_engines=(),
+        use_prelude=prelude,
+    )
+
+
 def test_backends_agree_and_overhead_is_bounded(benchmark):
     timings = {backend: 0.0 for backend in BACKENDS}
     programs = 0
     divergent = []
     for name, program, prelude in _workload():
         programs += 1
-        report = run_differential(program, params=PARAMS, use_prelude=prelude)
-        if not report.conforms:
-            divergent.append((name, report.explain()))
+        try:
+            _backends(program, prelude)
+        except AssertionError as error:
+            divergent.append((name, str(error)))
             continue
         # Re-run each backend alone for a per-backend timing that is not
         # polluted by the other backends sharing the loop iteration.
         for backend in BACKENDS:
             start = time.perf_counter()
-            run_differential(
-                program, params=PARAMS, backends=(backend,), use_prelude=prelude
-            )
+            _backends(program, prelude, (backend,))
             timings[backend] += time.perf_counter() - start
 
     assert not divergent, "backends diverged:\n" + "\n\n".join(
@@ -96,8 +107,4 @@ def test_backends_agree_and_overhead_is_bounded(benchmark):
     )
 
     sample = ProgramGenerator(seed=3, p_hint=PARAMS.p).expression(depth=4)
-    benchmark(
-        lambda: run_differential(
-            sample, params=PARAMS, backends=("seq",), use_prelude=False
-        )
-    )
+    benchmark(lambda: _backends(sample, False, ("seq",)))

@@ -483,8 +483,8 @@ def raise_nesting(
 #: Inference engines: ``w`` is this module's substitution-threading
 #: Algorithm W (the Fig. 7 reference, kept as a test oracle); ``uf`` is
 #: the union-find engine of :mod:`repro.core.uf` (the default — near-
-#: linear, bit-identical output, held to conformance by the differential
-#: harness).
+#: linear, bit-identical output, held to conformance by the typing axis
+#: of :func:`repro.testing.conform`).
 INFER_ENGINES = ("w", "uf")
 
 

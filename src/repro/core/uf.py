@@ -56,10 +56,10 @@ substitutions ``phi2 . phi1`` the identity
     for ``v`` free in ``phi1(tau)``
 
 makes the substitution engine's eager per-node environment applications
-telescope into the single final resolution performed here.  The
-differential harness (:func:`repro.testing.differential.assert_infer_conformance`)
-holds both engines to bit-identical types, constraints, derivations and
-error messages.
+telescope into the single final resolution performed here.  The typing
+axis of the conformance harness (:func:`repro.testing.conform`) holds
+both engines to bit-identical types, constraints, derivations and error
+messages.
 """
 
 from __future__ import annotations

@@ -44,10 +44,11 @@ indices, abstract op counts, h-relations, fault outcomes) from what is
 :meth:`Trace.abstract_signature` projects a trace onto its deterministic
 part: records whose name starts with ``backend.`` (pool recycling,
 re-entrant inline runs — legitimate per-backend behaviour) are dropped,
-and arg keys in :data:`NONABSTRACT_ARGS` are filtered out.  The differential
-conformance harness (:mod:`repro.testing.differential`) demands that
-this signature be bit-identical across execution backends — the tracing
-analogue of comparing :class:`~repro.bsp.cost.BspCost` tables exactly.
+and arg keys in :data:`NONABSTRACT_ARGS` are filtered out.  The
+conformance harness (:func:`repro.testing.conform`) demands that this
+signature be bit-identical across execution backends and evaluation
+engines — the tracing analogue of comparing
+:class:`~repro.bsp.cost.BspCost` tables exactly.
 """
 
 from __future__ import annotations

