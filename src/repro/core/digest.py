@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import fields, is_dataclass
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.lang.ast import Expr, UnitType
 
@@ -33,36 +33,59 @@ from repro.lang.ast import Expr, UnitType
 DIGEST_VERSION = "bsml-digest-v1"
 
 
-def _tokens(node: Any) -> Iterator[str]:
+#: Per AST class: its opening token and its ``(field name, ":name")``
+#: pairs in reverse declaration order (the order they are pushed).
+_LAYOUTS: Dict[type, Tuple[str, Tuple[Tuple[str, str], ...]]] = {}
+
+
+def _layout(cls: type) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        pairs = tuple((field.name, f":{field.name}") for field in fields(cls))
+        layout = _LAYOUTS[cls] = (f"({cls.__name__}", pairs[::-1])
+    return layout
+
+
+def _tokens(node: Any) -> List[str]:
     """Canonical token stream of an AST (or type-syntax) tree, iterative
     so deep programs need no recursion headroom."""
+    tokens: List[str] = []
+    emit = tokens.append
     stack = [node]
+    push = stack.append
+    pop = stack.pop
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):  # control token pushed below
-            yield item
-        elif is_dataclass(item) and not isinstance(item, type):
-            yield f"({type(item).__name__}"
-            stack.append(")")
-            for field in reversed(fields(item)):
-                stack.append(getattr(item, field.name))
-                stack.append(f":{field.name}")
+        item = pop()
+        if isinstance(item, str):  # a control token pushed below, or a name
+            emit(item)
+            continue
+        layout = _LAYOUTS.get(type(item))
+        if layout is None and is_dataclass(item) and not isinstance(item, type):
+            layout = _layout(type(item))
+        if layout is not None:
+            opening, pairs = layout
+            emit(opening)
+            push(")")
+            for name, label in pairs:
+                push(getattr(item, name))
+                push(label)
         elif isinstance(item, tuple):
-            yield "(tuple"
-            stack.append(")")
+            emit("(tuple")
+            push(")")
             stack.extend(reversed(item))
         elif isinstance(item, bool):
-            yield "#t" if item else "#f"
+            emit("#t" if item else "#f")
         elif isinstance(item, int):
-            yield f"i{item}"
+            emit(f"i{item}")
         elif isinstance(item, UnitType):
-            yield "#u"
+            emit("#u")
         elif item is None:
-            yield "#n"
+            emit("#n")
         else:
             raise TypeError(
                 f"expr_digest: unsupported node payload {type(item).__name__}"
             )
+    return tokens
 
 
 def expr_digest(expr: Expr) -> str:
@@ -70,13 +93,13 @@ def expr_digest(expr: Expr) -> str:
 
     Location-insensitive: reformatting a program does not change its
     digest.  Structure-sensitive: any change to the tree (or to an
-    ascribed type annotation) does.
+    ascribed type annotation) does.  The hashed bytes are the version
+    tag followed by ``"\x00" + token`` for every token, fed to the
+    hasher in one update.
     """
     hasher = hashlib.sha256()
     hasher.update(DIGEST_VERSION.encode("ascii"))
-    for token in _tokens(expr):
-        hasher.update(b"\x00")
-        hasher.update(token.encode("utf-8"))
+    hasher.update(("\x00" + "\x00".join(_tokens(expr))).encode("utf-8"))
     return hasher.hexdigest()
 
 

@@ -13,18 +13,33 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.constraints import (
     TRUE,
+    CAnd,
+    CImp,
+    CLoc,
     Constraint,
     basic_constraint,
     conj,
     constraint_atoms,
+    imp,
     render_constraint,
     subst_constraint,
 )
 from repro.core.types import (
+    TTuple,
     TVar,
     Type,
     apply_type_subst,
@@ -75,6 +90,10 @@ class TypeScheme:
 
     quantified: Tuple[str, ...]
     body: ConstrainedType
+
+    #: The cached :class:`InstancePlan` (not a field: set on first
+    #: instantiation, invisible to equality, hashing and ``repr``).
+    _plan = None
 
     def free_vars(self) -> FrozenSet[str]:
         return self.body.free_vars() - set(self.quantified)
@@ -188,6 +207,113 @@ class Subst:
         return Subst(mapping)
 
 
+class InstancePlan:
+    """How to build an instance of one scheme from its fresh variables.
+
+    Compiled once per scheme (:func:`instance_plan`) and cached on it.
+    A plan is a straight-line program over a value list that starts with
+    the fresh instances of the quantified variables (in ``quantified``
+    order) followed by ``constants`` — the scheme body's ground subtrees,
+    kept as they are.  Each step builds one node from earlier slots, so
+    only the nodes on a path to a quantified variable are rebuilt, and a
+    subtree shared within the body is rebuilt once.  ``closed`` is true
+    when every free variable of the body is quantified: the instance's
+    free variables are then exactly the fresh ones.
+    """
+
+    __slots__ = ("constants", "steps", "type_slot", "constraint_slot", "closed")
+
+    def __init__(self, scheme: TypeScheme) -> None:
+        quantified = {name: index for index, name in enumerate(scheme.quantified)}
+        constants: List[object] = []
+        steps: List[Tuple[Callable, Tuple[Tuple[str, int], ...]]] = []
+        refs: Dict[object, Tuple[str, int]] = {}
+
+        def constant(node: object) -> Tuple[str, int]:
+            constants.append(node)
+            return ("const", len(constants) - 1)
+
+        def step(builder: Callable, part_refs: Tuple[Tuple[str, int], ...]):
+            steps.append((builder, part_refs))
+            return ("step", len(steps) - 1)
+
+        def build(node: object, builder: Callable, parts: Sequence[object]):
+            part_refs = tuple(ref(part) for part in parts)
+            if all(kind == "const" for kind, _ in part_refs):
+                return constant(node)  # ground: kept as is
+            return step(builder, part_refs)
+
+        def ref(node: object) -> Tuple[str, int]:
+            cached = refs.get(node)
+            if cached is not None:
+                return cached
+            if isinstance(node, TVar):
+                index = quantified.get(node.name)
+                result = constant(node) if index is None else ("var", index)
+            elif isinstance(node, CLoc):
+                # ``L(v)`` under ``v := fresh`` is ``locality(fresh)``,
+                # the atom ``L(fresh)``.
+                index = quantified.get(node.var)
+                result = (
+                    constant(node)
+                    if index is None
+                    else step(_atom, (("var", index),))
+                )
+            elif isinstance(node, CAnd):
+                result = build(node, conj, tuple(node.conjuncts))
+            elif isinstance(node, CImp):
+                result = build(node, imp, (node.antecedent, node.consequent))
+            elif isinstance(node, TTuple):
+                result = build(node, _tuple_type, node.items)
+            elif isinstance(node, Type) and node.children():
+                result = build(node, type(node), node.children())
+            else:
+                result = constant(node)
+            refs[node] = result
+            return result
+
+        type_ref = ref(scheme.body.type)
+        constraint_ref = ref(scheme.body.constraint)
+        arity = len(scheme.quantified)
+        offsets = {"var": 0, "const": arity, "step": arity + len(constants)}
+
+        def slot(kind_index: Tuple[str, int]) -> int:
+            kind, index = kind_index
+            return offsets[kind] + index
+
+        self.constants = tuple(constants)
+        self.steps = tuple(
+            (builder, tuple(slot(part) for part in parts)) for builder, parts in steps
+        )
+        self.type_slot = slot(type_ref)
+        self.constraint_slot = slot(constraint_ref)
+        self.closed = not scheme.free_vars()
+
+    def run(self, instances: Sequence[Type]) -> ConstrainedType:
+        """The instance under ``quantified[i] := instances[i]``."""
+        values: List[object] = [*instances, *self.constants]
+        for builder, slots in self.steps:
+            values.append(builder(*map(values.__getitem__, slots)))
+        return ConstrainedType(values[self.type_slot], values[self.constraint_slot])
+
+
+def _tuple_type(*items: Type) -> Type:
+    return TTuple(items)
+
+
+def _atom(var: TVar) -> Constraint:
+    return CLoc(var.name)
+
+
+def instance_plan(scheme: TypeScheme) -> InstancePlan:
+    """The scheme's cached :class:`InstancePlan`, compiled on first use."""
+    plan = scheme._plan
+    if plan is None:
+        plan = InstancePlan(scheme)
+        object.__setattr__(scheme, "_plan", plan)
+    return plan
+
+
 def instantiate(
     scheme: TypeScheme, fresh: Callable[[str], TVar] = fresh_tvar
 ) -> ConstrainedType:
@@ -197,14 +323,15 @@ def instantiate(
     to atom renaming here; later unifications re-introduce the images'
     basic constraints through :meth:`Subst.apply_constrained`.  ``fresh``
     draws the instance variables (an engine's own allocator, or the
-    global counter).
+    global counter), one per quantified variable in ``quantified`` order.
+    The renaming runs the scheme's :class:`InstancePlan`; the result is
+    the same interned nodes ``Subst(mapping).apply_type`` and
+    ``.apply_constraint`` build.  A scheme with nothing quantified is its
+    own instance.
     """
-    mapping = {old: fresh("i") for old in scheme.quantified}
-    subst = Subst(mapping)
-    return ConstrainedType(
-        subst.apply_type(scheme.body.type),
-        subst.apply_constraint(scheme.body.constraint),
-    )
+    if not scheme.quantified:
+        return scheme.body
+    return instance_plan(scheme).run([fresh("i") for _ in scheme.quantified])
 
 
 def generalize(ct: ConstrainedType, env: "TypeEnv") -> TypeScheme:

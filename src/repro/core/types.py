@@ -27,6 +27,7 @@ weakly, so types no longer referenced anywhere are reclaimed.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Tuple
 from weakref import WeakValueDictionary
@@ -41,26 +42,60 @@ _INTERNED_CLASSES: list = []
 class _InternMeta(type):
     """Hash-consing metaclass: structurally equal nodes are one object.
 
-    The instance is built normally (running ``__post_init__`` validation),
-    then deduplicated against a per-class weak pool keyed on its field
-    values.  Children are interned before their parents, so pool lookups
-    hash and compare child fields by identity — O(#fields), not O(size).
+    Nodes are deduplicated against a per-class weak pool keyed on their
+    field values.  Children are interned before their parents, so pool
+    lookups hash and compare child fields by identity — O(#fields), not
+    O(size).
+
+    The common call — positional arguments only, all hashable — looks
+    the pool up by the argument tuple itself before building anything:
+    a hit returns the pooled node without constructing a throwaway
+    instance.  A miss builds the node (running ``__post_init__``
+    validation) and stores it under a per-class lock, looking the pool
+    up again inside the lock, so two threads interning one structure
+    concurrently always get the same object.  Hits take no lock.
+    Keyword arguments and unhashable arguments take the general path:
+    build first, then key on the built node's field values.
     """
 
     def __new__(mcls, name, bases, namespace):
         cls = super().__new__(mcls, name, bases, namespace)
         cls._intern_pool = WeakValueDictionary()
+        cls._intern_lock = threading.Lock()
         _INTERNED_CLASSES.append(cls)
         return cls
 
     def __call__(cls, *args, **kwargs):
-        node = super().__call__(*args, **kwargs)
-        key = tuple(getattr(node, name) for name in cls.__dataclass_fields__)
+        if not kwargs:
+            try:
+                node = cls._intern_pool.get(args)
+            except TypeError:  # an unhashable argument
+                pass
+            else:
+                if node is not None:
+                    return node
+                node = super().__call__(*args)
+                # The pool is keyed on field values, which are the
+                # arguments themselves unless a default or
+                # ``__post_init__`` could make them differ.
+                if len(args) != len(cls.__dataclass_fields__) or hasattr(
+                    cls, "__post_init__"
+                ):
+                    return cls._intern(node)
+                return cls._intern(node, args)
+        return cls._intern(super().__call__(*args, **kwargs))
+
+    def _intern(cls, node, key=None):
+        """Pool ``node`` under ``key`` (default: its field values) unless
+        another thread pooled an equal node first; return the survivor."""
+        if key is None:
+            key = tuple(getattr(node, name) for name in cls.__dataclass_fields__)
         pool = cls._intern_pool
-        interned = pool.get(key)
-        if interned is None:
-            pool[key] = node
-            return node
+        with cls._intern_lock:
+            interned = pool.get(key)
+            if interned is None:
+                pool[key] = node
+                return node
         return interned
 
 
@@ -210,7 +245,15 @@ def arrow(*types: Type) -> Type:
 
 def free_type_vars(ty: Type) -> FrozenSet[str]:
     """Names of the type variables occurring in ``ty``."""
-    return frozenset(node.name for node in ty.walk() if isinstance(node, TVar))
+    names = set()
+    stack = [ty]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TVar):
+            names.add(node.name)
+        else:
+            stack.extend(node.children())
+    return frozenset(names)
 
 
 def apply_type_subst(mapping: Dict[str, Type], ty: Type) -> Type:

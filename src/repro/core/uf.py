@@ -97,6 +97,7 @@ from repro.core.schemes import (
     TypeEnv,
     TypeScheme,
     generalize,
+    instance_plan,
     instantiate,
     mono,
 )
@@ -291,10 +292,8 @@ class UnionFind:
         if cached is not None:
             return cached
         if isinstance(constraint, CLoc):
-            if constraint.var in self.link:
-                frozen = locality(self._freeze(TVar(constraint.var)))
-            else:
-                frozen = constraint
+            image = self.link.get(constraint.var)
+            frozen = constraint if image is None else locality(self._freeze(image))
         elif isinstance(constraint, CAnd):
             frozen = conj_all(self._freeze_c(part) for part in constraint.conjuncts)
         elif isinstance(constraint, CImp):
@@ -317,18 +316,23 @@ class UnionFind:
         the substitution engine's ``subst.apply_constrained``, whose
         eager intermediate applications telescope into this single
         resolution (see the module docstring)."""
+        constraint = self.resolve_constraint(ct)
+        return ConstrainedType(self._freeze(ct.type), constraint)
+
+    def resolve_constraint(self, ct: ConstrainedType) -> Constraint:
+        """``resolve(ct).constraint`` without freezing ``ct.type``: for a
+        premise whose type the rule drops.  Definition 1's extras stay —
+        they are the basic constraints of the dropped type's variables'
+        images, and the only place those reach the conclusion."""
         self._sync()
         link = self.link
-        extras = conj(
-            *(
-                basic_constraint(self._freeze(TVar(name)))
-                for name in self.ct_free_vars(ct)
-                if name in link
-            )
-        )
-        return ConstrainedType(
-            self._freeze(ct.type),
-            conj(self._freeze_c(ct.constraint), extras),
+        constraint = self._freeze_c(ct.constraint)
+        bound = [name for name in self.ct_free_vars(ct) if name in link]
+        if not bound:
+            return constraint
+        freeze = self._freeze
+        return conj(
+            constraint, *(basic_constraint(freeze(link[name])) for name in bound)
         )
 
     # -- syntactic free variables (cached on interned nodes) ---------------
@@ -382,7 +386,7 @@ class UnionFind:
                 continue
             if name in link:
                 touched.add(name)
-                result |= self.type_fv(self._freeze(TVar(name)))
+                result |= self.type_fv(self._freeze(link[name]))
             else:
                 result.add(name)
         for name in self.atoms(body.constraint):
@@ -390,13 +394,13 @@ class UnionFind:
                 continue
             if name in link:
                 touched.add(name)
-                result |= self.atoms(locality(self._freeze(TVar(name))))
+                result |= self.atoms(locality(self._freeze(link[name])))
             else:
                 result.add(name)
         # Definition 1's extras: the touched variables' images conjoin
         # their basic constraints into the applied scheme's body.
         for name in touched:
-            result |= self.atoms(basic_constraint(self._freeze(TVar(name))))
+            result |= self.atoms(basic_constraint(self._freeze(link[name])))
         return frozenset(result)
 
     def env_free_vars(self, env: TypeEnv) -> FrozenSet[str]:
@@ -535,6 +539,10 @@ class UFInferencer:
         uf_unify(self.uf, left, right, expr.loc)
 
     def _instantiate(self, scheme: TypeScheme) -> ConstrainedType:
+        if scheme.quantified and instance_plan(scheme).closed:
+            # The instance's free variables are exactly its fresh ones:
+            # level each as it is drawn.
+            return instantiate(scheme, self.fresh)
         ct = instantiate(scheme, self.draw)
         self.uf.note_vars(self.uf.ct_free_vars(ct))
         return ct
@@ -689,13 +697,12 @@ class UFInferencer:
         self._unify(left_ct.type, right_ct.type, expr)
         scrut_ct = self._resolve(scrut_ct)
         left_ct = self._resolve(left_ct)
-        right_ct = self._resolve(right_ct)
         ct = ConstrainedType(
             left_ct.type,
             conj(
                 scrut_ct.constraint,
                 left_ct.constraint,
-                right_ct.constraint,
+                self.uf.resolve_constraint(right_ct),
                 imp(locality(left_ct.type), locality(scrut_ct.type)),
             ),
         )
@@ -713,11 +720,10 @@ class UFInferencer:
         arg_ct, arg_d = self.infer(env, expr.arg)
         result_ty = self.fresh("r")
         self._unify(fn_ct.type, TArrow(arg_ct.type, result_ty), expr)
-        fn_ct = self._resolve(fn_ct)
-        arg_ct = self._resolve(arg_ct)
+        resolve_constraint = self.uf.resolve_constraint
         ct = ConstrainedType(
             self.uf.freeze_type(result_ty),
-            conj(fn_ct.constraint, arg_ct.constraint),
+            conj(resolve_constraint(fn_ct), resolve_constraint(arg_ct)),
         )
         return self._check("App", expr, ct, (fn_d, arg_d))
 
@@ -785,12 +791,15 @@ class UFInferencer:
         then_ct, then_d = self.infer(env, expr.then_branch)
         else_ct, else_d = self.infer(env, expr.else_branch)
         self._unify(then_ct.type, else_ct.type, expr)
-        cond_ct = self._resolve(cond_ct)
+        resolve_constraint = self.uf.resolve_constraint
         then_ct = self._resolve(then_ct)
-        else_ct = self._resolve(else_ct)
         ct = ConstrainedType(
             then_ct.type,
-            conj(cond_ct.constraint, then_ct.constraint, else_ct.constraint),
+            conj(
+                resolve_constraint(cond_ct),
+                then_ct.constraint,
+                resolve_constraint(else_ct),
+            ),
         )
         return self._check("Ifthenelse", expr, ct, (cond_d, then_d, else_d))
 
@@ -802,17 +811,15 @@ class UFInferencer:
         then_ct, then_d = self.infer(env, expr.then_branch)
         else_ct, else_d = self.infer(env, expr.else_branch)
         self._unify(then_ct.type, else_ct.type, expr)
-        vec_ct = self._resolve(vec_ct)
-        proc_ct = self._resolve(proc_ct)
+        resolve_constraint = self.uf.resolve_constraint
         then_ct = self._resolve(then_ct)
-        else_ct = self._resolve(else_ct)
         ct = ConstrainedType(
             then_ct.type,
             conj(
-                vec_ct.constraint,
-                proc_ct.constraint,
+                resolve_constraint(vec_ct),
+                resolve_constraint(proc_ct),
                 then_ct.constraint,
-                else_ct.constraint,
+                resolve_constraint(else_ct),
                 imp(locality(then_ct.type), FALSE),
             ),
         )
@@ -832,7 +839,7 @@ class UFInferencer:
             item_ct, item_d = self.infer(env, item)
             self._unify(item_ct.type, content_ty, item)
             premises.append(item_d)
-            constraints.append(self._resolve(item_ct).constraint)
+            constraints.append(self.uf.resolve_constraint(item_ct))
         content = self.uf.freeze_type(content_ty)
         ct = ConstrainedType(
             TPar(content), conj(locality(content), *constraints)

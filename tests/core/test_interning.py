@@ -7,6 +7,9 @@ function agrees with its uncached body on arbitrary inputs.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.constraints import (
@@ -58,6 +61,54 @@ class TestTypeInterning:
     def test_usable_in_sets_and_dicts(self):
         pool = {TArrow(INT, INT), TArrow(INT, INT), TArrow(INT, BOOL)}
         assert len(pool) == 2
+
+
+class TestInternRace:
+    """Interning is atomic across threads: threads that build one
+    structure at the same moment all get the same pooled object."""
+
+    THREADS = 4
+    NODES = 200
+    ROUNDS = 300
+
+    def test_concurrent_interning_mints_no_twins(self):
+        barrier = threading.Barrier(self.THREADS)
+        built = [[None] * self.NODES for _ in range(self.THREADS)]
+        twins = 0
+
+        def worker(slot, names):
+            barrier.wait(timeout=30)
+            out = built[slot]
+            for index, name in enumerate(names):
+                out[index] = TPair(TArrow(TVar(name), INT), INT)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(self.ROUNDS):
+                # Fresh names every round: every construction is a miss,
+                # so the threads race on the pool's insert path.
+                names = [f"race{round_index}_{i}" for i in range(self.NODES)]
+                threads = [
+                    threading.Thread(target=worker, args=(slot, names))
+                    for slot in range(self.THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                for index in range(self.NODES):
+                    nodes = [built[slot][index] for slot in range(self.THREADS)]
+                    for level in (
+                        nodes,
+                        [node.first for node in nodes],
+                        [node.first.domain for node in nodes],
+                    ):
+                        twins += len({id(node) for node in level}) - 1
+        finally:
+            sys.setswitchinterval(previous)
+        assert twins == 0
 
 
 class TestConstraintInterning:
