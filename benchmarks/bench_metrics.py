@@ -8,7 +8,8 @@ short-circuits exactly as before the metrics layer existed.
 
 The guard holds that promise: a superstep workload with metrics disabled
 (the default state) must cost at most ``MAX_OVERHEAD`` of the same
-workload with the instrumentation sites stubbed out entirely.
+workload with the instrumentation sites stubbed out entirely, read as
+the median of per-round paired ratios (see ``ROUNDS``).
 
 A third, informational measurement runs with ``metrics.enable()`` — that
 path pays for record construction plus one histogram update per span
@@ -20,6 +21,7 @@ The regenerated table lands in ``benchmarks/results/metrics.txt``.
 
 from __future__ import annotations
 
+import statistics
 import time
 from contextlib import contextmanager
 from functools import partial
@@ -38,10 +40,13 @@ PARAMS = BspParams(p=4, g=2.0, l=50.0)
 #: Supersteps (each: one compute phase + one exchange) per measurement.
 REPS = 1000
 
-#: Best-of-N wall-clock measurements (minimum filters scheduler noise).
-#: Modes are measured interleaved within each repeat so slow drift in
-#: the environment lands on every mode equally.
-REPEATS = 9
+#: Paired rounds.  Each round times the stubbed and the disabled machine
+#: back to back (alternating which goes first) and keeps their ratio; the
+#: guard reads the median ratio.  A pair shares the host's state of the
+#: moment, so drift and bursts of outside load cancel within it, and the
+#: median ignores the rounds a burst splits.  Per-mode minima would come
+#: from different moments, so one burst could move one mode only.
+ROUNDS = 41
 
 #: The guard: metrics disabled must cost at most this factor of the
 #: machine with the instrumentation sites removed.
@@ -121,16 +126,37 @@ def _measure_once() -> float:
     return time.perf_counter() - start
 
 
-def _measure_interleaved() -> dict:
-    """Best-of-``REPEATS`` per mode, measured round-robin."""
-    best = {"stubbed": float("inf"), "disabled": float("inf"), "enabled": float("inf")}
-    for _ in range(REPEATS):
-        with _instrumentation_removed():
-            best["stubbed"] = min(best["stubbed"], _measure_once())
-        best["disabled"] = min(best["disabled"], _measure_once())
-        with _metrics_on():
-            best["enabled"] = min(best["enabled"], _measure_once())
-    return best
+def _measure_stubbed() -> float:
+    with _instrumentation_removed():
+        return _measure_once()
+
+
+def _measure_enabled() -> float:
+    with _metrics_on():
+        return _measure_once()
+
+
+def _measure_paired() -> dict:
+    """Per-mode median time and the median of the per-round ratios
+    ``disabled / stubbed`` and ``enabled / stubbed``."""
+    times = {"stubbed": [], "disabled": [], "enabled": []}
+    ratios = {"disabled": [], "enabled": []}
+    for round_ in range(ROUNDS):
+        if round_ % 2:
+            disabled = _measure_once()
+            stubbed = _measure_stubbed()
+        else:
+            stubbed = _measure_stubbed()
+            disabled = _measure_once()
+        enabled = _measure_enabled()
+        for mode, seconds in (("stubbed", stubbed), ("disabled", disabled), ("enabled", enabled)):
+            times[mode].append(seconds)
+        ratios["disabled"].append(disabled / stubbed)
+        ratios["enabled"].append(enabled / stubbed)
+    result = {mode: statistics.median(values) for mode, values in times.items()}
+    result["ratio"] = statistics.median(ratios["disabled"])
+    result["enabled_ratio"] = statistics.median(ratios["enabled"])
+    return result
 
 
 def test_disabled_metrics_are_free(benchmark):
@@ -154,19 +180,19 @@ def test_disabled_metrics_are_free(benchmark):
     assert metrics.SUPERSTEP_SECONDS.count(phase="exchange") == REPS
     metrics.global_registry().reset()
 
-    timings = _measure_interleaved()
+    timings = _measure_paired()
     stubbed_s = timings["stubbed"]
     disabled_s = timings["disabled"]
     enabled_s = timings["enabled"]
     metrics.global_registry().reset()
-    ratio = disabled_s / stubbed_s
-    enabled_ratio = enabled_s / stubbed_s
+    ratio = timings["ratio"]
+    enabled_ratio = timings["enabled_ratio"]
 
     write_table(
         "metrics",
         f"Metrics overhead — {REPS} supersteps (compute + exchange), "
-        f"p={PARAMS.p}, best of {REPEATS}",
-        ("machine", "total (ms)", "vs no layer", "verdict"),
+        f"p={PARAMS.p}, medians of {ROUNDS} paired rounds",
+        ("machine", "total (ms)", "vs no layer (median ratio)", "verdict"),
         [
             (
                 "instrumentation stubbed out",
@@ -196,8 +222,9 @@ def test_disabled_metrics_are_free(benchmark):
 
     assert ratio <= MAX_OVERHEAD, (
         f"disabled-metrics overhead {ratio:.3f}x exceeds the "
-        f"{MAX_OVERHEAD:.2f}x budget ({disabled_s * 1e3:.2f} ms vs "
-        f"{stubbed_s * 1e3:.2f} ms over {REPS} supersteps)"
+        f"{MAX_OVERHEAD:.2f}x budget (median of {ROUNDS} paired rounds; "
+        f"median {disabled_s * 1e3:.2f} ms vs {stubbed_s * 1e3:.2f} ms over "
+        f"{REPS} supersteps)"
     )
 
     benchmark(lambda: _drive(BspMachine(PARAMS)))

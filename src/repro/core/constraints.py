@@ -418,24 +418,6 @@ def _horn_satisfiable(clauses) -> bool:
     )
 
 
-@bounded_memo(SOLVER_CACHE_SIZE, name="constraints.horn_satisfiable")
-def horn_satisfiable(constraint: Constraint):
-    """The Horn-satisfiability check, memoized on the interned node.
-
-    Returns ``True``/``False`` for a Horn-shaped constraint and ``None``
-    when the constraint is not Horn (callers fall back to branching).
-    Clause decomposition and least-model propagation both re-run from
-    scratch per constraint, so caching on the interned node — the same
-    identity the hash-cons layer guarantees for structurally equal trees —
-    makes the repeated ``Solve(C)`` checks of a rule's enclosing
-    judgements O(1) after the first.
-    """
-    clauses = _horn_clauses(constraint)
-    if clauses is None:
-        return None
-    return _horn_satisfiable(clauses)
-
-
 def is_satisfiable_branching(constraint: Constraint) -> bool:
     """Complete satisfiability by branching on atoms (reference algorithm)."""
     constraint = simplify(constraint)
@@ -462,9 +444,9 @@ def is_satisfiable(constraint: Constraint) -> bool:
         return True
     if isinstance(constraint, CFalse):
         return False
-    verdict = horn_satisfiable(constraint)
-    if verdict is not None:
-        return verdict
+    clauses = _horn_clauses(constraint)
+    if clauses is not None:
+        return _horn_satisfiable(clauses)
     return is_satisfiable_branching(constraint)
 
 
@@ -530,7 +512,6 @@ def solve(constraint: Constraint) -> Constraint:
 perf.register_cache("constraints.locality", locality)
 perf.register_cache("constraints.basic_constraint", basic_constraint)
 perf.register_cache("constraints.simplify", simplify)
-perf.register_cache("constraints.horn_satisfiable", horn_satisfiable)
 perf.register_cache("constraints.is_satisfiable", is_satisfiable)
 perf.register_cache("constraints.is_valid", is_valid)
 perf.register_cache("constraints.solve", solve)

@@ -20,7 +20,8 @@ Three sources feed the registry:
   across every request of the process;
 * the **service layer** — :mod:`repro.service.server` observes
   per-route/backend request latency and maintains the admission
-  gauges; :mod:`repro.service.cache` counts response-cache hits;
+  gauges; :mod:`repro.service.cache` counts response-cache and front-map
+  hits;
 * the **perf layer** — :mod:`repro.perf.bridge` contributes scrape-time
   samples for every registered solver cache and intern pool.
 
@@ -505,6 +506,13 @@ REJECTED_TOTAL = _GLOBAL.counter(
 CACHE_REQUESTS_TOTAL = _GLOBAL.counter(
     "repro_response_cache_requests_total",
     "Response-cache lookups by result (hit/miss) plus evictions.",
+    ("result",),
+)
+
+FRONT_MAP_REQUESTS_TOTAL = _GLOBAL.counter(
+    "repro_front_map_requests_total",
+    "Front-map lookups (request body to program digest) by result "
+    "(hit/miss) plus evictions.",
     ("result",),
 )
 

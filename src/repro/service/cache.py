@@ -5,6 +5,12 @@ requests for the same program under the same execution parameters map
 to the same entry — and a hit returns the *serialized bytes* of the
 original response, making cache replays byte-identical by construction.
 
+The service keeps a second instance, the *front map*, keyed on
+``sha256(route + request body)`` and holding ``(digest, backend label)``:
+it lets a byte-identical repeat find its response-cache entry without
+being parsed.  The digest stays the cache identity; the front map holds
+no response bytes.  Each instance counts under its constructor ``name``.
+
 Sharding bounds lock contention: a key's leading hex digits pick its
 shard, each shard is an independently locked LRU, and concurrent
 requests for different programs almost always hit different locks.  The
@@ -24,6 +30,12 @@ from repro.perf import counters
 
 V = TypeVar("V")
 
+#: Cache name -> (perf counter prefix, metrics family of its lookups).
+_COUNTERS = {
+    "cache": ("service.cache", metrics.CACHE_REQUESTS_TOTAL),
+    "front_map": ("service.front_map", metrics.FRONT_MAP_REQUESTS_TOTAL),
+}
+
 
 class _Shard(Generic[V]):
     __slots__ = ("data", "lock", "capacity", "hits", "misses", "evictions")
@@ -40,7 +52,7 @@ class _Shard(Generic[V]):
 class ShardedCache(Generic[V]):
     """A bounded, sharded, thread-safe LRU mapping digests to values."""
 
-    def __init__(self, capacity: int = 1024, shards: int = 8) -> None:
+    def __init__(self, capacity: int = 1024, shards: int = 8, name: str = "cache") -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         if shards < 1:
@@ -48,6 +60,10 @@ class ShardedCache(Generic[V]):
         shards = min(shards, capacity)
         per_shard = max(1, (capacity + shards - 1) // shards)
         self._shards: List[_Shard[V]] = [_Shard(per_shard) for _ in range(shards)]
+        prefix, self._family = _COUNTERS[name]
+        self._hit, self._miss, self._evict = (
+            f"{prefix}.{result}" for result in ("hit", "miss", "evict")
+        )
 
     def _shard(self, key: str) -> _Shard[V]:
         # Digests are uniform hex; the leading 8 digits are an adequate
@@ -58,22 +74,27 @@ class ShardedCache(Generic[V]):
             index = hash(key)
         return self._shards[index % len(self._shards)]
 
-    def get(self, key: str) -> Optional[V]:
+    def get(self, key: str, count_miss: bool = True) -> Optional[V]:
+        """The value under ``key``, or ``None``.  ``count_miss=False``
+        makes a miss leave no trace in any counter: it is for a probe
+        whose caller falls back to a path that makes its own counted
+        lookup, so each request counts one lookup."""
         shard = self._shard(key)
         with shard.lock:
             try:
                 value = shard.data[key]
             except KeyError:
-                shard.misses += 1
-                counters.increment("service.cache.miss")
-                if metrics.is_enabled():
-                    metrics.CACHE_REQUESTS_TOTAL.inc(result="miss")
+                if count_miss:
+                    shard.misses += 1
+                    counters.increment(self._miss)
+                    if metrics.is_enabled():
+                        self._family.inc(result="miss")
                 return None
             shard.data.move_to_end(key)
             shard.hits += 1
-            counters.increment("service.cache.hit")
+            counters.increment(self._hit)
             if metrics.is_enabled():
-                metrics.CACHE_REQUESTS_TOTAL.inc(result="hit")
+                self._family.inc(result="hit")
             return value
 
     def put(self, key: str, value: V) -> None:
@@ -84,9 +105,9 @@ class ShardedCache(Generic[V]):
             while len(shard.data) > shard.capacity:
                 shard.data.popitem(last=False)
                 shard.evictions += 1
-                counters.increment("service.cache.evict")
+                counters.increment(self._evict)
                 if metrics.is_enabled():
-                    metrics.CACHE_REQUESTS_TOTAL.inc(result="evict")
+                    self._family.inc(result="evict")
 
     def __contains__(self, key: str) -> bool:
         shard = self._shard(key)

@@ -14,6 +14,11 @@ request (fault plans included — a survivable plan is bit-identical to a
 clean run), and cached replays return the originally serialized bytes.
 Only ``trace_summary`` carries wall-clock measurements and is excluded
 from that promise.
+
+A ``/v1/typecheck`` or ``/v1/run`` request answered 200 also records its
+body's front-map key against the program digest (``ServiceCore.front``),
+so the HTTP front end can answer a byte-identical repeat from the
+response cache without parsing it (:meth:`ServiceCore.replay`).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs, perf
 from repro.bsp import (
+    BACKENDS,
     BspFaultError,
     BspParams,
     FaultSpecError,
@@ -96,6 +102,19 @@ def _render_constrained(ct: ConstrainedType) -> Tuple[str, str]:
     if ct.constraint == TRUE:
         return type_text, "True"
     return type_text, render_constraint(ct.constraint, names)
+
+
+def backend_label(payload: Dict[str, Any]) -> str:
+    """Bounded backend label for the latency histogram.
+
+    The value is client-supplied, so anything outside the known
+    backend vocabulary is bucketed as ``other`` — one bad (or
+    adversarial) client must not mint unbounded label cardinality.
+    """
+    backend = payload.get("backend", "-")
+    if backend != "-" and backend not in BACKENDS:
+        backend = "other"
+    return str(backend)
 
 
 def _value_text(result: CostedResult) -> str:
@@ -212,6 +231,12 @@ class ServiceCore:
         self.cache: ShardedCache[bytes] = ShardedCache(
             self.config.cache_capacity, self.config.cache_shards
         )
+        #: ``sha256(route + body)`` -> ``(digest, backend label)`` of a
+        #: request answered 200, so a byte-identical repeat finds its
+        #: response-cache entry unparsed (:meth:`replay`).
+        self.front: ShardedCache[Tuple[str, str]] = ShardedCache(
+            self.config.cache_capacity, self.config.cache_shards, name="front_map"
+        )
         self.started_at = time.time()
         self.requests = 0
         self._requests_lock = threading.Lock()
@@ -224,6 +249,22 @@ class ServiceCore:
     def _count_request(self) -> None:
         with self._requests_lock:
             self.requests += 1
+
+    def _remember(
+        self, front_key: Optional[str], digest: str, payload: Dict[str, Any]
+    ) -> None:
+        if front_key is not None:
+            self.front.put(front_key, (digest, backend_label(payload)))
+
+    def replay(self, digest: str) -> Optional[bytes]:
+        """The cached response under ``digest`` for a front-map hit,
+        counted as a request and a response-cache hit; ``None`` when the
+        entry was evicted.  That miss is not counted: the caller falls
+        back to the handler, whose lookup is the request's one lookup."""
+        body = self.cache.get(digest, count_miss=False)
+        if body is not None:
+            self._count_request()
+        return body
 
     def _options(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         config = self.config
@@ -263,7 +304,11 @@ class ServiceCore:
 
     # -- endpoints --------------------------------------------------------
 
-    def handle_typecheck(self, payload: Dict[str, Any]) -> Tuple[int, bytes, str]:
+    def handle_typecheck(
+        self, payload: Dict[str, Any], front_key: Optional[str] = None
+    ) -> Tuple[int, bytes, str]:
+        """Answer ``/v1/typecheck``; on a 200, record ``front_key`` (the
+        request body's front-map key) against the program digest."""
         self._count_request()
         options = self._options(payload)
         expr = _parse(payload.get("program"))
@@ -275,6 +320,7 @@ class ServiceCore:
         )
         cached = self.cache.get(digest)
         if cached is not None:
+            self._remember(front_key, digest, payload)
             return 200, cached, "hit"
         env = prelude_env() if options["prelude"] else TypeEnv.empty()
         try:
@@ -292,9 +338,13 @@ class ServiceCore:
             }
         )
         self.cache.put(digest, body)
+        self._remember(front_key, digest, payload)
         return 200, body, "miss"
 
-    def handle_run(self, payload: Dict[str, Any]) -> Tuple[int, bytes, str]:
+    def handle_run(
+        self, payload: Dict[str, Any], front_key: Optional[str] = None
+    ) -> Tuple[int, bytes, str]:
+        """Answer ``/v1/run``; ``front_key`` as for :meth:`handle_typecheck`."""
         self._count_request()
         options = self._options(payload)
         expr = _parse(payload.get("program"))
@@ -310,9 +360,11 @@ class ServiceCore:
         )
         cached = self.cache.get(digest)
         if cached is not None:
+            self._remember(front_key, digest, payload)
             return 200, cached, "hit"
         body = serialize(self._run_payload(expr, digest, options))
         self.cache.put(digest, body)
+        self._remember(front_key, digest, payload)
         return 200, body, "miss"
 
     def _run_payload(
@@ -466,6 +518,7 @@ class ServiceCore:
             "requests": self.requests,
             "sessions": sessions,
             "response_cache": self.cache.stats(),
+            "front_map": self.front.stats(),
             "solver_caches": solver,
             "intern_pools": intern_pool_stats(),
         }

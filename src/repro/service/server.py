@@ -7,6 +7,19 @@ work is pushed to a small thread pool, each request wrapped in a fresh
 :class:`contextvars.Context` so its perf/obs collection windows are
 invisible to every other in-flight request.
 
+Inline hits: a ``POST /v1/typecheck`` or ``/v1/run`` whose body is
+byte-identical to one answered 200 before is answered on the event loop.
+The key ``sha256(route + body)`` finds the program digest in the core's
+front map, and the digest finds the serialized response in the response
+cache, so the repeat is neither decoded, parsed, digested nor handed to
+a pool thread.  It is counted like an offloaded hit: ``/v1/stats``
+``requests``, ``repro_requests_total``, ``repro_request_seconds`` with
+``cache="hit"`` and the request's backend label, one response-cache hit,
+and ``X-Repro-Cache: hit``.  If the digest's response was evicted, the
+request takes the offloaded path, whose lookup is its one counted
+response-cache lookup.  Session routes never use the front map: their
+answer depends on session state, not only on the body.
+
 Admission control is two-layered:
 
 * a semaphore bounds the requests *computing* at once
@@ -16,11 +29,16 @@ Admission control is two-layered:
   ``max_queue`` requests are already waiting: the server answers 429
   with a ``Retry-After`` hint instead of accumulating latency.
 
+``/healthz`` and ``/v1/metrics`` bypass both layers.  An inline hit
+passes the same 429 check as an offloaded request, but never waits on
+the semaphore and is not counted in flight, because it holds no pool
+thread.
+
 Routes::
 
     GET  /healthz                    liveness
     GET  /v1/metrics                 Prometheus text exposition
-    GET  /v1/stats                   counters, cache + intern-pool sizes
+    GET  /v1/stats                   counters, cache, front-map + intern-pool sizes
     POST /v1/typecheck               {program, p?, prelude?}
     POST /v1/run                     {program, p?, g?, l?, backend?,
                                       faults?, typed?, prelude?}
@@ -35,20 +53,31 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import functools
+import hashlib
 import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.bsp.executor import BACKENDS
 from repro.obs import metrics
-from repro.service.handlers import RequestError, ServiceConfig, ServiceCore, serialize
+from repro.service.handlers import (
+    RequestError,
+    ServiceConfig,
+    ServiceCore,
+    backend_label,
+    serialize,
+)
 
 #: Parser caps — requests breaching them are answered 400/413/431.
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_LINES = 100
 DEFAULT_MAX_BODY = 1 << 20  # 1 MiB of program text is plenty
+
+#: Routes whose 200 answer is a function of the request body alone, so a
+#: repeat can be answered inline from the front map.
+FRONT_ROUTES = ("/v1/typecheck", "/v1/run")
 
 _STATUS_TEXT = {
     200: "OK",
@@ -278,10 +307,41 @@ class ReproServer:
                 {},
             )
 
+        if route in FRONT_ROUTES:
+            front_key = hashlib.sha256(route.encode("ascii") + body).hexdigest()
+            answer = self._answer_inline(route, front_key)
+            if answer is not None:
+                return answer
+            handler = functools.partial(handler, front_key=front_key)
+
         payload = self._parse_body(body)
         if isinstance(payload, tuple):  # (status, error-bytes)
             return payload[0], payload[1], {}
         return await self._run_limited(route, handler, payload)
+
+    def _answer_inline(
+        self, route: str, front_key: str
+    ) -> Optional[Tuple[int, bytes, Dict[str, str]]]:
+        """Answer a repeated body on the event loop: its cached response,
+        or the 429 an offloaded request would get; ``None`` sends the
+        request down the offloaded path."""
+        started = time.perf_counter()
+        entry = self.core.front.get(front_key)
+        if entry is None:
+            return None
+        rejected = self._reject_if_overloaded(route)
+        if rejected is not None:
+            return rejected
+        digest, backend = entry
+        body = self.core.replay(digest)
+        if body is None:
+            return None
+        if metrics.is_enabled():
+            metrics.REQUEST_SECONDS.observe(
+                time.perf_counter() - started, route=route, backend=backend, cache="hit"
+            )
+            metrics.REQUESTS_TOTAL.inc(route=route, status="200")
+        return 200, body, {"X-Repro-Cache": "hit"}
 
     def _route(
         self, method: str, path: str
@@ -348,6 +408,33 @@ class ReproServer:
 
     # -- admission control + worker offload -------------------------------
 
+    def _reject_if_overloaded(
+        self, route: str
+    ) -> Optional[Tuple[int, bytes, Dict[str, str]]]:
+        """The 429 answer once every slot computes and the queue is full."""
+        if not (self._semaphore.locked() and self._waiting >= self.max_queue):
+            return None
+        with self._gauges:
+            self.rejected += 1
+        if metrics.is_enabled():
+            metrics.REJECTED_TOTAL.inc()
+            metrics.REQUESTS_TOTAL.inc(route=route, status="429")
+        return (
+            429,
+            serialize(
+                {
+                    "error": {
+                        "kind": "overload",
+                        "message": (
+                            f"{self.max_concurrency} requests in flight and "
+                            f"{self._waiting} queued; retry shortly"
+                        ),
+                    }
+                }
+            ),
+            {"Retry-After": "1"},
+        )
+
     async def _run_limited(
         self,
         route: str,
@@ -355,28 +442,10 @@ class ReproServer:
         payload: Dict[str, Any],
     ) -> Tuple[int, bytes, Dict[str, str]]:
         assert self._semaphore is not None, "server not started"
+        rejected = self._reject_if_overloaded(route)
+        if rejected is not None:
+            return rejected
         recording = metrics.is_enabled()
-        if self._semaphore.locked() and self._waiting >= self.max_queue:
-            with self._gauges:
-                self.rejected += 1
-            if recording:
-                metrics.REJECTED_TOTAL.inc()
-                metrics.REQUESTS_TOTAL.inc(route=route, status="429")
-            return (
-                429,
-                serialize(
-                    {
-                        "error": {
-                            "kind": "overload",
-                            "message": (
-                                f"{self.max_concurrency} requests in flight and "
-                                f"{self._waiting} queued; retry shortly"
-                            ),
-                        }
-                    }
-                ),
-                {"Retry-After": "1"},
-            )
         self._waiting += 1
         if recording:
             metrics.WAITING_REQUESTS.inc()
@@ -397,19 +466,6 @@ class ReproServer:
                     self._inflight -= 1
                 if recording:
                     metrics.INFLIGHT_REQUESTS.dec()
-
-    @staticmethod
-    def _backend_label(payload: Dict[str, Any]) -> str:
-        """Bounded backend label for the latency histogram.
-
-        The value is client-supplied, so anything outside the known
-        backend vocabulary is bucketed as ``other`` — one bad (or
-        adversarial) client must not mint unbounded label cardinality.
-        """
-        backend = payload.get("backend", "-")
-        if backend != "-" and backend not in BACKENDS:
-            backend = "other"
-        return str(backend)
 
     async def _offload(
         self,
@@ -455,7 +511,7 @@ class ReproServer:
                     metrics.REQUEST_SECONDS.observe(
                         time.perf_counter() - started,
                         route=route,
-                        backend=self._backend_label(payload),
+                        backend=backend_label(payload),
                         cache=cache_state or "-",
                     )
                     metrics.REQUESTS_TOTAL.inc(route=route, status=str(status))

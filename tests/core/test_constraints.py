@@ -254,10 +254,12 @@ class TestRendering:
 
 
 class TestSimplifyAndHornMemoization:
-    """``simplify`` and ``horn_satisfiable`` are memoized on interned
+    """``simplify`` and ``is_satisfiable`` are memoized on interned
     node identity in eviction-counting :class:`BoundedMemo` caches, and
     surface through the same ``--stats``/``/v1/stats`` machinery as the
-    other solver caches."""
+    other solver caches.  The Horn check behind ``is_satisfiable`` has no
+    memo of its own: ``is_satisfiable``'s memo already answers every
+    repeat."""
 
     def _distinct_constraint(self, i: int):
         # Distinct interned nodes per i: an implication chain over
@@ -274,18 +276,6 @@ class TestSimplifyAndHornMemoization:
         assert first is second
         assert info_after_hit.hits == info_after_miss.hits + 1
         assert info_after_hit.misses == info_after_miss.misses
-
-    def test_horn_satisfiable_hits_on_repeated_interned_node(self):
-        from repro.core.constraints import horn_satisfiable
-
-        node = self._distinct_constraint(20_000)
-        horn_satisfiable.cache_clear()
-        first = horn_satisfiable(node)
-        misses = horn_satisfiable.cache_info().misses
-        second = horn_satisfiable(node)
-        assert first == second is True
-        assert horn_satisfiable.cache_info().misses == misses
-        assert horn_satisfiable.cache_info().hits >= 1
 
     def test_simplify_evicts_under_small_bound(self):
         from repro.core.constraints import SOLVER_CACHE_SIZE
@@ -310,21 +300,22 @@ class TestSimplifyAndHornMemoization:
 
         names = set(perf.registered_caches())
         assert "constraints.simplify" in names
-        assert "constraints.horn_satisfiable" in names
+        assert "constraints.is_satisfiable" in names
+        assert "constraints.horn_satisfiable" not in names
 
     def test_counters_surface_in_stats_render(self):
         import repro.perf as perf
 
-        from repro.core.constraints import horn_satisfiable
+        from repro.core.constraints import is_satisfiable
 
         with perf.collect() as stats:
             for i in range(40_000, 40_004):
                 simplify(self._distinct_constraint(i))
                 simplify(self._distinct_constraint(i))
-                horn_satisfiable(self._distinct_constraint(i))
+                is_satisfiable(self._distinct_constraint(i))
         reports = {report.name: report for report in stats.cache_reports()}
         assert reports["constraints.simplify"].hits >= 4
         assert reports["constraints.simplify"].misses >= 4
         rendered = stats.render()
         assert "constraints.simplify" in rendered
-        assert "constraints.horn_satisfiable" in rendered
+        assert "constraints.is_satisfiable" in rendered

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro import perf
 from repro.service.cache import ShardedCache
 
 
@@ -71,6 +72,30 @@ def test_rejects_degenerate_configuration():
         ShardedCache(capacity=0)
     with pytest.raises(ValueError):
         ShardedCache(capacity=8, shards=0)
+    with pytest.raises(KeyError):
+        ShardedCache(capacity=8, name="unknown")
+
+
+def test_uncounted_miss_leaves_no_trace():
+    cache: ShardedCache[int] = ShardedCache(capacity=8, shards=2)
+    with perf.collect() as window:
+        assert cache.get(k(1), count_miss=False) is None
+        cache.put(k(1), 1)
+        assert cache.get(k(1), count_miss=False) == 1  # hits always count
+    assert (cache.stats()["hits"], cache.stats()["misses"]) == (1, 0)
+    assert window.counter("service.cache.miss") == 0
+    assert window.counter("service.cache.hit") == 1
+
+
+def test_name_selects_the_counters():
+    front: ShardedCache[int] = ShardedCache(capacity=8, shards=2, name="front_map")
+    with perf.collect() as window:
+        front.get(k(1))
+        front.put(k(1), 1)
+        front.get(k(1))
+    assert window.counter("service.front_map.miss") == 1
+    assert window.counter("service.front_map.hit") == 1
+    assert window.counter("service.cache.hit") == window.counter("service.cache.miss") == 0
 
 
 def test_concurrent_puts_and_gets_are_safe():

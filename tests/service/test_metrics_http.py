@@ -71,6 +71,7 @@ class TestMetricsEndpoint:
             "repro_requests_total",
             "repro_requests_rejected_total",
             "repro_response_cache_requests_total",
+            "repro_front_map_requests_total",
             "repro_inflight_requests",
             "repro_waiting_requests",
             "repro_sessions",
