@@ -21,7 +21,11 @@ the observable variables as the originals (property-tested in
 Pruning is optional; :func:`repro.core.infer.infer` enables it at ``let``
 boundaries by default to keep constraints linear in practice, while the
 derivation-rendering entry point leaves constraints untouched to match
-the paper's figures.
+the paper's figures.  Most judgments reaching a ``let`` carry the
+constraint ``TRUE``, which has nothing to eliminate:
+:func:`prune_constrained` hands those back as they are, without the
+clause conversion, fact propagation and rebuild that would also end in
+``TRUE``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import AbstractSet, FrozenSet, List, Optional, Tuple
 
 from repro.core.constraints import (
     FALSE,
+    TRUE,
     CLoc,
     Constraint,
     _horn_clauses,
@@ -168,6 +173,11 @@ def prune_constraint(
 def prune_constrained(
     ct: ConstrainedType, extra_observable: AbstractSet[str] = frozenset()
 ) -> ConstrainedType:
-    """Prune a constrained type, keeping the type's variables observable."""
+    """Prune a constrained type, keeping the type's variables observable.
+
+    A ``TRUE`` constraint has nothing to prune: ``ct`` comes back as is.
+    """
+    if ct.constraint is TRUE:
+        return ct
     observable = set(free_type_vars(ct.type)) | set(extra_observable)
     return ConstrainedType(ct.type, prune_constraint(ct.constraint, observable))

@@ -30,7 +30,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Tuple
-from weakref import WeakValueDictionary
+from weakref import KeyedRef, WeakValueDictionary
 
 
 #: Every class carrying a hash-cons pool, in definition order — the type
@@ -48,41 +48,54 @@ class _InternMeta(type):
     O(size).
 
     The common call — positional arguments only, all hashable — looks
-    the pool up by the argument tuple itself before building anything:
-    a hit returns the pooled node without constructing a throwaway
-    instance.  A miss builds the node (running ``__post_init__``
-    validation) and stores it under a per-class lock, looking the pool
-    up again inside the lock, so two threads interning one structure
-    concurrently always get the same object.  Hits take no lock.
-    Keyword arguments and unhashable arguments take the general path:
-    build first, then key on the built node's field values.
+    the pool's underlying ``dict`` of weak references up by the argument
+    tuple itself before building anything: a hit returns the pooled
+    node without constructing a throwaway instance.  A miss builds the
+    node (running ``__post_init__`` validation) and stores a
+    ``KeyedRef`` to it straight into that ``dict`` under a per-class
+    lock, looking the pool up again inside the lock, so two threads
+    interning one structure concurrently always get the same object.
+    Hits take no lock.  Whether the arguments themselves are the key —
+    one per field and no ``__post_init__`` — is worked out once per
+    class, on its first miss.  Keyword arguments, unhashable arguments
+    and classes with ``__post_init__`` take the general path: build
+    first, then key on the built node's field values.  The pool stays a
+    ``WeakValueDictionary``: its callback drops a dead node's entry, so
+    ``len`` counts live nodes.
     """
 
     def __new__(mcls, name, bases, namespace):
         cls = super().__new__(mcls, name, bases, namespace)
         cls._intern_pool = WeakValueDictionary()
+        cls._intern_refs = cls._intern_pool.data
         cls._intern_lock = threading.Lock()
+        # Set on the first miss (dataclass fields do not exist yet):
+        # the argument count that makes the arguments the pool key, or
+        # -1 when ``__post_init__`` rules that out.
+        cls._intern_arity = None
         _INTERNED_CLASSES.append(cls)
         return cls
 
     def __call__(cls, *args, **kwargs):
         if not kwargs:
             try:
-                node = cls._intern_pool.get(args)
+                ref = cls._intern_refs.get(args)
             except TypeError:  # an unhashable argument
                 pass
             else:
-                if node is not None:
-                    return node
+                if ref is not None:
+                    node = ref()
+                    if node is not None:
+                        return node
                 node = super().__call__(*args)
-                # The pool is keyed on field values, which are the
-                # arguments themselves unless a default or
-                # ``__post_init__`` could make them differ.
-                if len(args) != len(cls.__dataclass_fields__) or hasattr(
-                    cls, "__post_init__"
-                ):
-                    return cls._intern(node)
-                return cls._intern(node, args)
+                arity = cls._intern_arity
+                if arity is None:
+                    arity = cls._intern_arity = (
+                        -1
+                        if hasattr(cls, "__post_init__")
+                        else len(cls.__dataclass_fields__)
+                    )
+                return cls._intern(node, args if len(args) == arity else None)
         return cls._intern(super().__call__(*args, **kwargs))
 
     def _intern(cls, node, key=None):
@@ -90,13 +103,15 @@ class _InternMeta(type):
         another thread pooled an equal node first; return the survivor."""
         if key is None:
             key = tuple(getattr(node, name) for name in cls.__dataclass_fields__)
-        pool = cls._intern_pool
+        refs = cls._intern_refs
         with cls._intern_lock:
-            interned = pool.get(key)
-            if interned is None:
-                pool[key] = node
-                return node
-        return interned
+            ref = refs.get(key)
+            if ref is not None:
+                interned = ref()
+                if interned is not None:
+                    return interned
+            refs[key] = KeyedRef(node, cls._intern_pool._remove, key)
+        return node
 
 
 @dataclass(frozen=True, eq=False)

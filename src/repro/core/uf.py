@@ -45,7 +45,9 @@ scaling on large programs while producing **bit-identical** output:
   the locality formula of the representative (and Definition 1's basic
   constraints conjoined) only when a pass resolves a conclusion for a
   ``Solve(C)`` check.  The constraint trees that come
-  out are the same interned nodes the substitution engine builds.
+  out are the same interned nodes the substitution engine builds.  A
+  resolve of a judgment with no free variable bound is the identity
+  (nothing to freeze, no extras) and returns its input untouched.
 
 Conformance is not accidental: every rule below consumes fresh
 variables in exactly the order :class:`repro.core.infer.Inferencer`
@@ -315,8 +317,12 @@ class UnionFind:
         the basic constraint of every bound variable free in ``ct`` —
         the substitution engine's ``subst.apply_constrained``, whose
         eager intermediate applications telescope into this single
-        resolution (see the module docstring)."""
-        constraint = self.resolve_constraint(ct)
+        resolution (see the module docstring).  With no free variable
+        bound it is the identity and returns ``ct`` itself."""
+        bound = self._bound_free_vars(ct)
+        if not bound:
+            return ct
+        constraint = self._resolve_bound(ct, bound)
         return ConstrainedType(self._freeze(ct.type), constraint)
 
     def resolve_constraint(self, ct: ConstrainedType) -> Constraint:
@@ -324,15 +330,24 @@ class UnionFind:
         premise whose type the rule drops.  Definition 1's extras stay —
         they are the basic constraints of the dropped type's variables'
         images, and the only place those reach the conclusion."""
+        bound = self._bound_free_vars(ct)
+        if not bound:
+            return ct.constraint
+        return self._resolve_bound(ct, bound)
+
+    def _bound_free_vars(self, ct: ConstrainedType) -> List[str]:
+        link = self.link
+        return [name for name in self.ct_free_vars(ct) if name in link]
+
+    def _resolve_bound(self, ct: ConstrainedType, bound: List[str]) -> Constraint:
+        """Definition 1's constraint for ``ct`` whose free variables
+        ``bound`` are bound; also brings the freeze memos up to date."""
         self._sync()
         link = self.link
-        constraint = self._freeze_c(ct.constraint)
-        bound = [name for name in self.ct_free_vars(ct) if name in link]
-        if not bound:
-            return constraint
         freeze = self._freeze
         return conj(
-            constraint, *(basic_constraint(freeze(link[name])) for name in bound)
+            self._freeze_c(ct.constraint),
+            *(basic_constraint(freeze(link[name])) for name in bound),
         )
 
     # -- syntactic free variables (cached on interned nodes) ---------------

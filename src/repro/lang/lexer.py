@@ -13,6 +13,15 @@ Comments are OCaml style ``(* ... *)`` and nest.  Integers, the booleans
 ``true``/``false`` and the unit literal ``()`` are the constants.  Binary
 operators ``+ - * / mod = <> < <= > >= && ||`` are sugar for the pair-taking
 primitives of the paper (``e1 + e2`` parses to ``(+) (e1, e2)``).
+
+A type variable such as ``'a`` lexes as a ``TYVAR`` token, which only a
+type annotation ``(e : 'a -> 'a)`` accepts; as an expression or binder
+name it is a syntax error.  ``x'`` is an ordinary identifier.
+
+The lexer makes one master-regex match per token: the match takes the
+whitespace before the token with it, and line/column come from counting
+the newlines between the previous token and this one.  Comments are
+found by the same match and then scanned for their (nested) end.
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ from repro.lang.errors import LexError
 class TokenKind(Enum):
     INT = auto()
     IDENT = auto()
+    #: A type variable such as ``'a``; only a type annotation takes one.
+    TYVAR = auto()
     KEYWORD = auto()
     SYMBOL = auto()
     EOF = auto()
@@ -69,28 +80,31 @@ _SYMBOLS = (
     ";",
 )
 
-#: One alternative per token class, tried in order at each position.
-#: ``(*`` comes before the symbols so it always opens a comment, and a
-#: digit run glued to a letter is caught before a plain integer.  Only
-#: ASCII digits and letters are accepted.
+#: One match per token: the whitespace before it, then one alternative
+#: per token class, tried in order.  ``(*`` comes before the symbols so
+#: it always opens a comment, and a digit run glued to a letter is
+#: caught before a plain integer.  Only ASCII digits and letters are
+#: accepted; ``eof`` matches after trailing whitespace and ``bad`` takes
+#: any other character.
 _TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r\n]+)"
-    r"|(?P<comment>\(\*)"
+    r"[ \t\r\n]*(?:"
+    r"(?P<comment>\(\*)"
     r"|(?P<badint>[0-9]+[A-Za-z_])"
     r"|(?P<int>[0-9]+)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<tyvar>'[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>[\s\S]))"
 )
 
 #: The delimiters a (nested) comment body is scanned for.
 _COMMENT_RE = re.compile(r"\(\*|\*\)")
 
-#: Kinds of the non-word token classes; a type variable such as ``'a``
-#: (used in ascriptions) is an identifier.
+#: Kinds of the non-word token classes.
 _GROUP_KINDS = {
     "int": TokenKind.INT,
-    "tyvar": TokenKind.IDENT,
+    "tyvar": TokenKind.TYVAR,
     "symbol": TokenKind.SYMBOL,
 }
 
@@ -128,34 +142,38 @@ class Lexer:
         """
         source = self.source
         match = _TOKEN_RE.match
+        count = source.count
         ident = TokenKind.IDENT
-        pos, end = 0, len(source)
+        # Newlines are counted from ``mark``, the start of the previous
+        # token or comment, so a comment's own lines count at the next
+        # match.
+        pos = mark = 0
         line, line_start = 1, 0
-        while pos < end:
+        while True:
             found = match(source, pos)
-            if found is None:
-                loc = Loc(line, pos - line_start + 1)
-                raise LexError(f"unexpected character {source[pos]!r}", loc)
             group = found.lastgroup
-            stop = found.end()
-            if group == "space" or group == "comment":
-                if group == "comment":
-                    stop = _comment_end(source, pos, Loc(line, pos - line_start + 1))
-                newlines = source.count("\n", pos, stop)
-                if newlines:
-                    line += newlines
-                    line_start = source.rindex("\n", pos, stop) + 1
+            start = found.start(group)
+            newlines = count("\n", mark, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", mark, start) + 1
+            mark = start
+            loc = Loc(line, start - line_start + 1)
+            pos = found.end()
+            if group == "word":
+                text = found[group]
+                yield Token(_WORD_KINDS.get(text, ident), text, loc)
+            elif group in _GROUP_KINDS:
+                yield Token(_GROUP_KINDS[group], found[group], loc)
+            elif group == "comment":
+                pos = _comment_end(source, start, loc)
+            elif group == "eof":
+                yield Token(TokenKind.EOF, "", loc)
+                return
+            elif group == "badint":
+                raise LexError(f"malformed number {found[group]!r}", loc)
             else:
-                loc = Loc(line, pos - line_start + 1)
-                text = found.group()
-                if group == "word":
-                    yield Token(_WORD_KINDS.get(text, ident), text, loc)
-                elif group == "badint":
-                    raise LexError(f"malformed number {text!r}", loc)
-                else:
-                    yield Token(_GROUP_KINDS[group], text, loc)
-            pos = stop
-        yield Token(TokenKind.EOF, "", Loc(line, pos - line_start + 1))
+                raise LexError(f"unexpected character {source[start]!r}", loc)
 
 
 def _comment_end(source: str, start: int, loc: Loc) -> int:

@@ -13,6 +13,7 @@ Grammar (from loosest to tightest binding)::
     unary     := '-' unary | app
     app       := atom atom+                   (left associative)
     atom      := INT | 'true' | 'false' | '(' ')' | IDENT | '(' expr ')'
+               | '(' expr ':' type ')'     (type atoms: base names, TYVAR)
 
 Binary operators, loosest first: ``:=`` (right associative), ``||``,
 ``&&``, the comparisons ``= <> < <= > >=`` (non-associative: ``a < b < c``
@@ -373,13 +374,13 @@ class _Parser:
 
     def _parse_type_atom(self) -> TypeExpr:
         token = self._peek()
+        if token.kind is TokenKind.TYVAR:
+            self._next()
+            return TEVar(token.text[1:])
         if token.kind is TokenKind.IDENT:
             if token.text in BASE_TYPE_NAMES:
                 self._next()
                 return TEBase(token.text)
-            if token.text.startswith("'"):
-                self._next()
-                return TEVar(token.text[1:])
             raise ParseError(f"unknown type name {token}", token.loc)
         if self._at("("):
             self._next()

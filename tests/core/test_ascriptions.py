@@ -8,7 +8,7 @@ from repro.core.errors import NestingError, TypingError, UnificationError
 from repro.core.infer import infer, type_expr_to_type
 from repro.core.milner import milner_infer
 from repro.core.types import INT, TArrow, TPar, TVar, render_type
-from repro.lang.ast import Annot
+from repro.lang.ast import Annot, Var
 from repro.lang.errors import ParseError
 from repro.lang.parser import parse_expression as parse
 from repro.lang.pretty import pretty
@@ -39,6 +39,17 @@ class TestTypeSyntaxParsing:
 
     def test_type_variable(self):
         assert self._annot("'a") == TEVar("a")
+
+    @pytest.mark.parametrize(
+        "source", ["'a", "fun 'x -> 'x", "let 'a = 1 in 'a", "f 'a", "case x of inl 'a -> 1 | inr y -> 2"]
+    )
+    def test_type_variable_outside_an_annotation_is_a_parse_error(self, source):
+        with pytest.raises(ParseError):
+            parse(source)
+
+    def test_primed_identifier_is_a_name(self):
+        expr = parse("x'")
+        assert isinstance(expr, Var) and expr.name == "x'"
 
     def test_arrow_right_associative(self):
         ty = self._annot("int -> bool -> int")

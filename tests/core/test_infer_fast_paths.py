@@ -5,10 +5,13 @@ replace.
   :class:`~repro.core.schemes.InstancePlan`; under the same fresh names
   its instance must be the very interned nodes the literal Definition 2
   (``Subst(mapping).apply_type`` / ``.apply_constraint``) builds.
-* :meth:`repro.core.uf.UnionFind.resolve_constraint` stands in for
-  ``resolve(ct).constraint`` wherever a rule drops a premise's type; at
-  every call it must return the literal Definition 1 constraint, basic
-  constraints of the bound variables' images included.
+* :meth:`repro.core.uf.UnionFind.resolve` and
+  :meth:`~repro.core.uf.UnionFind.resolve_constraint` (which stands in
+  for ``resolve(ct).constraint`` wherever a rule drops a premise's
+  type) must return the literal Definition 1 result at every call,
+  basic constraints of the bound variables' images included — both
+  when no free variable is bound (then they return their input) and
+  when one is.
 
 Both are checked on the shipped schemes and over the 200-program
 generated corpus the engine-conformance sweep uses.
@@ -81,21 +84,31 @@ class _RecordingInferencer(UFInferencer):
 
 
 class _CheckingUnionFind(UnionFind):
-    """Checks every constraint-only resolve against Definition 1."""
+    """Checks every resolve and constraint-only resolve against
+    Definition 1, counting the calls with no free variable bound (the
+    identity shortcut) apart from the rest."""
 
     def __init__(self):
         super().__init__()
-        self.checked_sites = 0
+        self.sites = {"identity": 0, "bound": 0}
 
-    def resolve_constraint(self, ct: ConstrainedType):
-        result = super().resolve_constraint(ct)
+    def _literal_constraint(self, ct: ConstrainedType):
         bound = [name for name in ct.free_vars() if name in self.link]
-        literal = conj(
+        self.sites["bound" if bound else "identity"] += 1
+        return conj(
             self.freeze_constraint(ct.constraint),
             conj(*(basic_constraint(self.freeze_type(TVar(name))) for name in bound)),
         )
-        assert result is literal, ct
-        self.checked_sites += 1
+
+    def resolve(self, ct: ConstrainedType):
+        result = super().resolve(ct)
+        literal = ConstrainedType(self.freeze_type(ct.type), self._literal_constraint(ct))
+        assert result.type is literal.type and result.constraint is literal.constraint, ct
+        return result
+
+    def resolve_constraint(self, ct: ConstrainedType):
+        result = super().resolve_constraint(ct)
+        assert result is self._literal_constraint(ct), ct
         return result
 
 
@@ -143,21 +156,30 @@ class TestInstantiationPlans:
 
 
 class TestConstraintOnlyResolve:
+    """Both resolves, checked at every call (see ``_CheckingUnionFind``)."""
+
     @pytest.mark.parametrize("checked", [False, True], ids=["product", "checked"])
     def test_generated_corpus_premise_sites(self, checked):
-        sites = 0
+        sites = {"identity": 0, "bound": 0}
         for seed in range(GENERATED_SEEDS):
             engine = UFInferencer(checked=checked)
             engine.uf = _CheckingUnionFind()
             _infer(engine, _generated(seed))
-            sites += engine.uf.checked_sites
-        assert sites > GENERATED_SEEDS
+            for kind, count in engine.uf.sites.items():
+                sites[kind] += count
+        # both the identity shortcut and the binding path are exercised
+        assert sites["identity"] > GENERATED_SEEDS
+        assert sites["bound"] > GENERATED_SEEDS
 
     def test_rejected_programs_premise_sites(self):
         """The nesting-unsafe corpus: both passes, up to the failing rule."""
         env = prelude_env()
+        sites = {"identity": 0, "bound": 0}
         for source in unsafe_corpus():
             for checked in (False, True):
                 engine = UFInferencer(checked=checked)
                 engine.uf = _CheckingUnionFind()
                 _infer(engine, parse_program(source), env)
+                for kind, count in engine.uf.sites.items():
+                    sites[kind] += count
+        assert sites["identity"] and sites["bound"]

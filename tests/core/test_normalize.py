@@ -107,6 +107,14 @@ class TestPruneConstrained:
         result = prune_constrained(ct, extra_observable={"envvar"})
         assert result.constraint == CLoc("envvar")
 
+    @pytest.mark.parametrize("ty", [INT, TVar("a")])
+    def test_true_constraint_returns_its_input(self, ty):
+        ct = ConstrainedType(ty, TRUE)
+        assert prune_constrained(ct) is ct
+        assert prune_constrained(ct, extra_observable={"envvar"}) is ct
+        # the shortcut agrees with the clause path it skips
+        assert prune_constraint(TRUE, {"a", "envvar"}) is TRUE
+
 
 # -- the projection property, exhaustively over small random constraints ----
 

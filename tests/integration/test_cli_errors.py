@@ -101,3 +101,17 @@ class TestSyntaxErrors:
         assert code == 2
         assert "syntax error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "source", ["let 'a = 1 in 'a + 1", "fun 'x -> 'x", "1 + 'a", "fun x 'y -> x"]
+    )
+    def test_type_variable_spelling_is_not_an_expression_name(self, capsys, source):
+        code, out, err = run_cli(capsys, "run", "-e", source)
+        assert code == 2
+        assert "syntax error:" in err
+        assert out == ""
+
+    def test_type_variable_in_an_annotation_still_runs(self, capsys):
+        code, out, err = run_cli(capsys, "run", "-e", "let x' = (1 : 'a) in x' + 1")
+        assert code == 0
+        assert out.strip() == "2"

@@ -146,11 +146,82 @@ class TestLexerLocations:
             TokenKind.KEYWORD,
             TokenKind.IDENT,
             TokenKind.SYMBOL,
-            TokenKind.IDENT,
+            TokenKind.TYVAR,
             TokenKind.SYMBOL,
             TokenKind.INT,
             TokenKind.EOF,
         ]
+
+
+def _offset(source, loc):
+    """The offset of ``loc``: lines end at ``\\n``; every other
+    character, tab and ``\\r`` included, is one column."""
+    line_start = 0
+    for _ in range(loc.line - 1):
+        line_start = source.index("\n", line_start) + 1
+    return line_start + loc.column - 1
+
+
+def _relayouts(source):
+    """The same tokens laid out with tabs, CRLF line ends, nested
+    comments and trailing whitespace."""
+    return (
+        source,
+        source.replace(" ", "\t"),
+        source.replace("\n", "\r\n"),
+        "(* lead (* nested\n *) *)" + source.replace("\n", " (* a (* b *)\n c *)\n"),
+        source.replace("\n", " \t\n") + "  \r\n\t \n",
+    )
+
+
+def _location_corpus():
+    """The shipped programs (part of the conformance corpus), the
+    rejected corpora, the prelude and 200 generated programs."""
+    from repro.lang.pretty import pretty
+    from repro.testing import infer_conformance_corpus
+    from repro.testing.generators import ProgramGenerator
+
+    sources = [source for _, source in infer_conformance_corpus()]
+    sources.append(PRELUDE_SOURCE)
+    sources += [
+        pretty(ProgramGenerator(seed=seed, p_hint=2).expression(depth=3 + seed % 4))
+        for seed in range(200)
+    ]
+    return sources
+
+
+class TestTokenLocationsOverCorpora:
+    def test_every_token_starts_at_its_location(self):
+        checked = 0
+        for base in _location_corpus():
+            for source in _relayouts(base):
+                tokens = tokenize(source)
+                previous = -1
+                for token in tokens[:-1]:
+                    offset = _offset(source, token.loc)
+                    assert offset > previous, (source, token)
+                    assert source.startswith(token.text, offset), (source, token)
+                    previous = offset
+                    checked += 1
+                eof = tokens[-1]
+                assert eof.kind is TokenKind.EOF and eof.text == ""
+                assert _offset(source, eof.loc) == len(source), source
+        assert checked > 10_000
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("let x =   @ 1", "1:11: unexpected character '@'"),
+            ("let x = 1\n  # 2", "2:3: unexpected character '#'"),
+            ("x\r\n\t$", "2:2: unexpected character '$'"),
+            ("f  3x", "1:4: malformed number '3x'"),
+            ("1\n\t (* a\n *) 42_", "3:5: malformed number '42_'"),
+        ],
+    )
+    def test_lex_error_messages_and_locations(self, source, message):
+        with pytest.raises(LexError) as error:
+            tokenize(source)
+        assert str(error.value) == message
 
 
 def _op(symbol, left, right):

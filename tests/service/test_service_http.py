@@ -134,6 +134,18 @@ class TestErrorMapping:
         assert status == 400
         assert body["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("program", ["let 'a = 1 in 'a + 1", "fun 'x -> 'x"])
+    @pytest.mark.parametrize("route", ["/v1/typecheck", "/v1/run"])
+    def test_type_variable_as_a_name_is_400(self, client, route, program):
+        status, body, _ = client.request("POST", route, {"program": program})
+        assert (status, body["error"]["kind"]) == (400, "parse")
+
+    def test_type_variable_in_an_annotation_is_accepted(self, client):
+        status, body, _ = client.request(
+            "POST", "/v1/typecheck", {"program": "(fun x -> x : 'a -> 'a)"}
+        )
+        assert status == 200
+
     @pytest.mark.parametrize("program", ["é", "(* open", "12abc"])
     def test_lex_error_in_a_session_is_400(self, client, program):
         _, body, _ = client.request("POST", "/v1/session", {})
