@@ -27,15 +27,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro.bsp import (
-    BspCost,
-    BspMachine,
-    BspParams,
-    FaultPlan,
-    RetryPolicy,
-    SuperstepFault,
-    parse_fault_spec,
-)
+from repro.bsp import BspCost, BspMachine, BspParams
 from repro.core import (
     ConstrainedType,
     NestingError,
@@ -89,20 +81,12 @@ def run_program(
     l: float = 20.0,
     use_prelude: bool = True,
     typed: bool = True,
-    backend: str = "seq",
-    faults=None,
-    retry=None,
 ) -> CostedResult:
     """Typecheck (unless ``typed=False``) and run a program with costs.
 
-    ``backend`` picks the execution backend (``seq``, ``thread``,
-    ``process``) for the per-process computation phases; the value and
-    the abstract cost are backend-independent.
-
-    ``faults``/``retry`` optionally arm a deterministic
-    :class:`repro.bsp.FaultPlan` and :class:`repro.bsp.RetryPolicy`:
-    supersteps run transactionally, transient faults are retried with
-    backoff, and a survivable fault schedule changes nothing observable.
+    Runs on the sequential backend; the value and the abstract cost are
+    backend-independent (:func:`repro.testing.conform` checks ``thread``
+    against it).
 
     Returns a :class:`repro.semantics.CostedResult`: the value, the
     superstep-by-superstep BSP cost, and the totals under ``(p, g, l)``.
@@ -111,13 +95,7 @@ def run_program(
     if typed:
         typecheck(expr, use_prelude=use_prelude)
     runnable = with_prelude(expr) if use_prelude else expr
-    return run_costed(
-        runnable,
-        BspParams(p=p, g=g, l=l),
-        backend=backend,
-        faults=faults,
-        retry=retry,
-    )
+    return run_costed(runnable, BspParams(p=p, g=g, l=l))
 
 
 __all__ = [
@@ -126,10 +104,7 @@ __all__ = [
     "BspParams",
     "ConstrainedType",
     "CostedResult",
-    "FaultPlan",
     "NestingError",
-    "RetryPolicy",
-    "SuperstepFault",
     "TypeScheme",
     "TypingError",
     "__version__",
@@ -138,7 +113,6 @@ __all__ = [
     "infer_scheme",
     "milner_infer",
     "parse_expression",
-    "parse_fault_spec",
     "parse_program",
     "prelude_env",
     "pretty",

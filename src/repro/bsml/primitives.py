@@ -123,23 +123,11 @@ class Bsml:
         self,
         params: BspParams,
         machine: Optional[BspMachine] = None,
-        backend: Optional[str] = None,
-        faults=None,
-        retry=None,
     ) -> None:
-        """``faults``/``retry`` optionally arm a
-        :class:`~repro.bsp.faults.FaultPlan` and
-        :class:`~repro.bsp.faults.RetryPolicy` on the context's machine
-        (whether freshly built or passed in) — every primitive then runs
-        with transactional, retried supersteps."""
+        """``machine`` defaults to a fresh sequential one; pass a
+        machine built on another executor to run the primitives there."""
         if machine is None:
-            from repro.bsp.executor import get_executor
-
-            machine = BspMachine(params, executor=get_executor(backend or "seq"))
-        elif backend is not None:
-            machine.use_backend(backend)
-        if faults is not None or retry is not None:
-            machine.arm_faults(faults, retry)
+            machine = BspMachine(params)
         self.params = params
         self.machine = machine
         if self.machine.p != params.p:

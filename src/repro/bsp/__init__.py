@@ -1,29 +1,14 @@
-"""BSP substrate: machine parameters, superstep engine, cost accounting,
-pluggable execution backends, and deterministic fault injection."""
+"""BSP substrate: machine parameters, superstep engine, cost accounting
+and pluggable execution backends."""
 
 from repro.bsp.cost import BspCost, SuperstepCost
 from repro.bsp.executor import (
     BACKENDS,
+    BackendUnavailableError,
     SequentialExecutor,
     ThreadExecutor,
     get_executor,
     shutdown_executors,
-)
-from repro.bsp.faults import (
-    FAULT_KINDS,
-    BackendUnavailableError,
-    BrokenPool,
-    BspFaultError,
-    FaultPlan,
-    FaultSpecError,
-    MessageFault,
-    ProcOutcome,
-    RetryPolicy,
-    SuperstepFault,
-    TaskTimeout,
-    TransientFault,
-    WorkerCrash,
-    parse_fault_spec,
 )
 from repro.bsp.machine import BspMachine
 from repro.bsp.network import (
@@ -37,30 +22,17 @@ from repro.bsp.params import PREDEFINED, BspParams
 __all__ = [
     "BACKENDS",
     "BackendUnavailableError",
-    "BrokenPool",
     "BspCost",
-    "BspFaultError",
     "BspMachine",
     "BspParams",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpecError",
     "HRelation",
-    "MessageFault",
     "PREDEFINED",
-    "ProcOutcome",
-    "RetryPolicy",
     "SequentialExecutor",
     "SuperstepCost",
-    "SuperstepFault",
-    "TaskTimeout",
     "ThreadExecutor",
-    "TransientFault",
-    "WorkerCrash",
     "get_executor",
     "h_relation_of_matrix",
     "h_relation_of_messages",
     "one_relation",
-    "parse_fault_spec",
     "shutdown_executors",
 ]

@@ -26,7 +26,7 @@ in-line behaviour); the thread backend runs every task and reports each
 task's error, and the machine re-raises the lowest-index one, so the
 *propagated* exception is deterministic across backends.  No executor
 path discards an exception.  A backend whose pool cannot even start in
-this environment raises :class:`~repro.bsp.faults.BackendUnavailableError`
+this environment raises :class:`BackendUnavailableError`
 with a one-line message naming the valid backends.
 """
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.bsp.faults import BackendUnavailableError
+from repro.lang.errors import ReproError
 
 #: A unit of per-process work: returns ``(value, abstract_op_count)``.
 Task = Callable[[], Any]
@@ -54,6 +54,10 @@ _ALIASES = {
     "thread": "thread",
     "threads": "thread",
 }
+
+
+class BackendUnavailableError(ReproError):
+    """A known backend whose pool cannot be started in this environment."""
 
 
 @dataclass
@@ -110,12 +114,6 @@ class SequentialExecutor:
             failed = outcome.error is not None
         return outcomes
 
-    def recycle(self) -> None:
-        """Replace the worker pool (no-op: there is none)."""
-
-    def ensure_available(self) -> None:
-        """Probe that the backend can run here (always true)."""
-
     def close(self) -> None:
         pass
 
@@ -171,16 +169,6 @@ class ThreadExecutor:
             return _timed(task)
         finally:
             self._local.in_worker = False
-
-    def recycle(self) -> None:
-        """Tear down the pool; the next phase builds a fresh one."""
-        if obs.is_tracing():
-            obs.event("backend.recycle", obs.MACHINE_TRACK, backend=self.name)
-        self.close()
-
-    def ensure_available(self) -> None:
-        """Probe that a thread pool can be started here (eagerly)."""
-        self._ensure()
 
     def close(self) -> None:
         if self._pool is not None:

@@ -20,46 +20,18 @@ measured wall-clock seconds alongside (carried on
 :class:`~repro.bsp.cost.SuperstepCost` but excluded from equality, so
 cost accounting stays backend-independent).
 
-Since the fault layer (:mod:`repro.bsp.faults`) every phase is also
-**transactional**: :meth:`run_superstep` and :meth:`exchange` either
-commit — values, cost rows, mailboxes — or leave the machine exactly as
-it was and raise (a :class:`~repro.bsp.faults.SuperstepFault` for
-transient faults that retries could not absorb, the original error for a
-genuine program failure).  A machine can arm a deterministic
-:class:`~repro.bsp.faults.FaultPlan` (injected crashes, timeouts,
-message drops/duplications/corruptions, broken pools) and a
-:class:`~repro.bsp.faults.RetryPolicy` (bounded retry with backoff);
-with both armed, any *survivable* fault schedule is observationally
-invisible — identical values, bit-identical :class:`BspCost` — which is
-exactly what the chaos conformance sweep checks.
+Every phase is **transactional**: :meth:`run_superstep` and
+:meth:`exchange` either commit — values, cost rows, mailboxes — or leave
+the machine exactly as it was and raise the program's own error.
 """
 
 from __future__ import annotations
 
-import time
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs, perf
 from repro.bsp.cost import BspCost, SuperstepCost
-from repro.bsp.executor import (
-    SequentialExecutor,
-    Task,
-    TaskOutcome,
-    _timed,
-    get_executor,
-)
-from repro.bsp.faults import (
-    INJECTED_TASKS,
-    BrokenPool,
-    FaultPlan,
-    ProcOutcome,
-    RetryPolicy,
-    SuperstepFault,
-    TaskTimeout,
-    TransientFault,
-    WorkerCrash,
-)
+from repro.bsp.executor import SequentialExecutor, Task
 from repro.bsp.network import HRelation, h_relation_of_matrix
 from repro.bsp.params import BspParams
 
@@ -91,38 +63,12 @@ class _NoMessage:
 NO_MESSAGE = _NoMessage()
 
 
-def _fault_kind(error: BaseException) -> str:
-    """The outcome-table status for a transient fault."""
-    if isinstance(error, WorkerCrash):
-        return "crash"
-    if isinstance(error, TaskTimeout):
-        return "timeout"
-    if isinstance(error, BrokenPool):
-        return "pool"
-    return "error"
-
-
 class BspMachine:
-    """A ``p``-process BSP machine accumulating a :class:`BspCost`.
+    """A ``p``-process BSP machine accumulating a :class:`BspCost`."""
 
-    ``faults`` optionally arms a deterministic
-    :class:`~repro.bsp.faults.FaultPlan`; ``retry`` optionally sets the
-    :class:`~repro.bsp.faults.RetryPolicy` applied to transient faults
-    (the injected ones).  Without a policy every transient fault is
-    fatal — but still atomic.
-    """
-
-    def __init__(
-        self,
-        params: BspParams,
-        executor=None,
-        faults: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
+    def __init__(self, params: BspParams, executor=None) -> None:
         self.params = params
         self.executor = executor if executor is not None else SequentialExecutor()
-        self._faults = faults
-        self._retry = retry
         self._work: List[float] = [0.0] * params.p
         self._elapsed: List[float] = [0.0] * params.p
         self._steps: List[SuperstepCost] = []
@@ -132,50 +78,12 @@ class BspMachine:
     def p(self) -> int:
         return self.params.p
 
-    def use_backend(self, name: str) -> None:
-        """Switch to the (shared) executor named ``name``.
-
-        Only the execution strategy changes; accumulated cost, mailboxes
-        and the current superstep all carry over, because accounting is
-        backend-independent by construction.  Raises :class:`ValueError`
-        (naming the valid backends) for an unknown name.
-        """
-        self.executor = get_executor(name)
-
-    # -- fault layer ---------------------------------------------------------
-
-    @property
-    def faults(self) -> Optional[FaultPlan]:
-        return self._faults
-
-    @property
-    def retry(self) -> Optional[RetryPolicy]:
-        return self._retry
-
-    def arm_faults(
-        self,
-        plan: Optional[FaultPlan],
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        """Arm a fault plan (and optionally a retry policy)."""
-        self._faults = plan
-        if retry is not None:
-            self._retry = retry
-
-    def disarm_faults(self) -> None:
-        """Drop the fault plan and the retry policy."""
-        self._faults = None
-        self._retry = None
-
-    def set_retry(self, policy: Optional[RetryPolicy]) -> None:
-        self._retry = policy
-
     def state_fingerprint(self) -> Tuple:
         """A structural snapshot of all superstep-visible machine state:
         work, elapsed seconds, committed cost rows and mailboxes.  Two
         equal fingerprints mean the machine is observationally in the
-        same place — the atomicity assertions of the chaos harness
-        compare fingerprints taken before and after a failed phase."""
+        same place — the atomicity assertions compare fingerprints taken
+        before and after a failed phase."""
         return (
             tuple(self._work),
             tuple(self._elapsed),
@@ -215,16 +123,9 @@ class BspMachine:
 
         The phase is **transactional**.  Work and elapsed time commit
         only when every process has a value; on any failure the machine
-        is left exactly as it was.  Transient faults — injected crashes,
-        timeouts and pool breaks from an armed
-        :class:`~repro.bsp.faults.FaultPlan` — are retried under the
-        machine's :class:`~repro.bsp.faults.RetryPolicy` (only the processes that
-        failed re-run, so recovered user code executes exactly once);
-        when retries are exhausted (or no policy is set) a
-        :class:`~repro.bsp.faults.SuperstepFault` carrying the
-        per-process outcome table is raised.  A genuine program error
-        re-raises the lowest-index task error, which keeps the propagated
-        exception deterministic across backends.
+        is left exactly as it was and the lowest-index task error is
+        re-raised, which keeps the propagated exception deterministic
+        across backends.
         """
         if len(tasks) != self.p:
             raise ValueError(f"expected {self.p} tasks, got {len(tasks)}")
@@ -235,128 +136,23 @@ class BspMachine:
                 superstep=len(self._steps),
                 procs=self.p,
                 backend=self.executor.name,
-            ) as extra:
-                return self._compute(tasks, extra)
-        return self._compute(tasks, None)
+            ):
+                return self._compute(tasks, tracing=True)
+        return self._compute(tasks, tracing=False)
 
-    def _compute(self, tasks: Sequence[Task], extra) -> List[Any]:
-        """The (transactional) body of :meth:`run_superstep`; ``extra``
-        is the enclosing trace span's arg dict (None when not tracing)."""
-        tracing = extra is not None
+    def _compute(self, tasks: Sequence[Task], tracing: bool) -> List[Any]:
+        """The (transactional) body of :meth:`run_superstep`."""
         step_index = len(self._steps)
-        plan, policy = self._faults, self._retry
-        max_attempts = policy.max_attempts if policy is not None else 1
-        final: List[Optional[TaskOutcome]] = [None] * self.p
-        status: List[str] = ["pending"] * self.p
-        detail: List[str] = [""] * self.p
-        pending = list(range(self.p))
-        attempt = 0
-        while True:
-            attempt += 1
-            if attempt > 1:
-                if perf.is_collecting():
-                    perf.increment("bsp.retry.attempts")
-                if tracing:
-                    obs.event(
-                        "retry",
-                        obs.MACHINE_TRACK,
-                        phase="compute",
-                        superstep=step_index,
-                        attempt=attempt,
-                    )
-            if plan is not None and plan.draw_pool_break():
-                if perf.is_collecting():
-                    perf.increment("bsp.fault.pool")
-                self.executor.recycle()
-                error: BaseException = BrokenPool(
-                    f"injected pool break (attempt {attempt})"
-                )
-                attempt_outcomes = {
-                    proc: TaskOutcome(error=error) for proc in pending
-                }
-            else:
-                injected = (
-                    plan.draw_task_faults(pending) if plan is not None else {}
-                )
-                run_tasks: List[Task] = []
-                for proc in pending:
-                    kind = injected.get(proc)
-                    if kind is None:
-                        run_tasks.append(tasks[proc])
-                    else:
-                        if perf.is_collecting():
-                            perf.increment(f"bsp.fault.{kind}")
-                        run_tasks.append(
-                            partial(INJECTED_TASKS[kind], proc, attempt)
-                        )
-                # With a plan armed, every backend must observe the same
-                # set of per-attempt failures, or the deterministic fault
-                # stream would diverge between backends — so the
-                # sequential backend's fail-fast skipping is suspended
-                # (it exists to mirror the historical in-line semantics
-                # of *unrecovered* errors, which faults never are).
-                if plan is not None and isinstance(
-                    self.executor, SequentialExecutor
-                ):
-                    outcomes = [_timed(task) for task in run_tasks]
-                else:
-                    outcomes = self.executor.run(run_tasks)
-                attempt_outcomes = dict(zip(pending, outcomes))
-            first_user_error: Optional[BaseException] = None
-            still_pending: List[int] = []
-            for proc in pending:
-                outcome = attempt_outcomes[proc]
-                if outcome.skipped:
-                    still_pending.append(proc)
-                    status[proc], detail[proc] = "pending", "skipped by fail-fast"
-                elif outcome.error is None:
-                    final[proc] = outcome
-                    status[proc], detail[proc] = "ok", ""
-                elif isinstance(outcome.error, TransientFault):
-                    still_pending.append(proc)
-                    status[proc] = _fault_kind(outcome.error)
-                    detail[proc] = str(outcome.error)
-                elif first_user_error is None:
-                    first_user_error = outcome.error
-            if first_user_error is not None:
-                # A genuine program error: nothing was committed, so the
-                # machine state is untouched — re-raise it as the callers
-                # have always seen it.
-                raise first_user_error
-            pending = still_pending
-            if not pending:
-                break
-            if attempt >= max_attempts:
-                if perf.is_collecting():
-                    perf.increment("bsp.fault.supersteps_failed")
-                    if policy is not None:
-                        perf.increment("bsp.retry.exhausted")
-                table = [
-                    ProcOutcome(f"proc {proc}", status[proc], detail[proc])
-                    for proc in range(self.p)
-                ]
-                if tracing:
-                    obs.event(
-                        "rollback",
-                        obs.MACHINE_TRACK,
-                        phase="compute",
-                        superstep=step_index,
-                        attempts=attempt,
-                        outcomes=";".join(
-                            f"{row.site}:{row.status}" for row in table
-                        ),
-                    )
-                raise SuperstepFault("compute", "", attempt, table)
-            if policy is not None:
-                delay = policy.delay(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                    if perf.is_collecting():
-                        perf.add_time("bsp.retry.sleep", delay)
+        outcomes = self.executor.run(tasks)
+        for outcome in outcomes:
+            if outcome.error is not None:
+                # Nothing was committed, so the machine state is
+                # untouched: re-raise the program's own error.
+                raise outcome.error
         # Commit: every process has a successful outcome.
         values: List[Any] = []
         total_seconds = 0.0
-        for proc, outcome in enumerate(final):
+        for proc, outcome in enumerate(outcomes):
             value, ops = outcome.value
             self._work[proc] += ops
             self._elapsed[proc] += outcome.seconds
@@ -372,19 +168,7 @@ class BspMachine:
                     ops=ops,
                     superstep=step_index,
                 )
-        if tracing:
-            extra["attempts"] = attempt
-            if attempt > 1:
-                obs.event(
-                    "retry.recovered",
-                    obs.MACHINE_TRACK,
-                    phase="compute",
-                    superstep=step_index,
-                    attempts=attempt,
-                )
         if perf.is_collecting():
-            if attempt > 1:
-                perf.increment("bsp.retry.recovered")
             perf.increment(f"bsp.backend.{self.executor.name}.phases")
             perf.increment(f"bsp.backend.{self.executor.name}.tasks", self.p)
             perf.add_time(f"bsp.backend.{self.executor.name}.compute", total_seconds)
@@ -411,16 +195,6 @@ class BspMachine:
         undercount communication), and a payload for a ``(src, dst)``
         pair whose matrix entry is zero raises :class:`ValueError` — cost
         accounting can never miss traffic that was actually delivered.
-
-        The delivery is **transactional**.  With a fault plan armed, each
-        in-flight message may be dropped, duplicated or corrupted; all
-        three are *detected* faults (acknowledgements and checksums in a
-        real runtime), so an injured delivery attempt never lands a wrong
-        value — it is retried whole under the retry policy, and when
-        retries are exhausted a
-        :class:`~repro.bsp.faults.SuperstepFault` is raised with the
-        machine untouched: no cost row, mailboxes still holding the
-        previous superstep's deliveries.
         """
         relation = h_relation_of_matrix(sent_words)
         if payloads:
@@ -453,86 +227,10 @@ class BspMachine:
                 words=relation.total_words,
                 matrix=tuple(tuple(int(w) for w in row) for row in sent_words),
             ):
-                self._deliver(relation, payloads, label)
+                self._close(relation, label, deliveries=payloads)
         else:
-            self._deliver(relation, payloads, label)
+            self._close(relation, label, deliveries=payloads)
         return relation
-
-    def _deliver(
-        self,
-        relation: HRelation,
-        payloads: Optional[Dict[Tuple[int, int], object]],
-        label: str,
-    ) -> None:
-        """The (transactional) delivery + barrier of :meth:`exchange`."""
-        tracing = obs.is_tracing()
-        step_index = len(self._steps)
-        plan, policy = self._faults, self._retry
-        if plan is not None and payloads and plan.message_faults_active:
-            keys = sorted(payloads)
-            max_attempts = policy.max_attempts if policy is not None else 1
-            attempt = 0
-            while True:
-                attempt += 1
-                if attempt > 1:
-                    if perf.is_collecting():
-                        perf.increment("bsp.retry.attempts")
-                    if tracing:
-                        obs.event(
-                            "retry",
-                            obs.MACHINE_TRACK,
-                            phase="exchange",
-                            superstep=step_index,
-                            attempt=attempt,
-                        )
-                injured = plan.draw_message_faults(keys)
-                if not injured:
-                    if attempt > 1:
-                        if perf.is_collecting():
-                            perf.increment("bsp.retry.recovered")
-                        if tracing:
-                            obs.event(
-                                "retry.recovered",
-                                obs.MACHINE_TRACK,
-                                phase="exchange",
-                                superstep=step_index,
-                                attempts=attempt,
-                            )
-                    break
-                if perf.is_collecting():
-                    for kind in injured.values():
-                        perf.increment(f"bsp.fault.{kind}")
-                if attempt >= max_attempts:
-                    if perf.is_collecting():
-                        perf.increment("bsp.fault.supersteps_failed")
-                        if policy is not None:
-                            perf.increment("bsp.retry.exhausted")
-                    table = [
-                        ProcOutcome(
-                            f"{src}->{dst}",
-                            injured.get((src, dst), "ok"),
-                        )
-                        for src, dst in keys
-                    ]
-                    if tracing:
-                        obs.event(
-                            "rollback",
-                            obs.MACHINE_TRACK,
-                            phase="exchange",
-                            superstep=step_index,
-                            attempts=attempt,
-                            outcomes=";".join(
-                                f"{row.site}:{row.status}" for row in table
-                            ),
-                        )
-                    raise SuperstepFault("exchange", label, attempt, table)
-                if policy is not None:
-                    delay = policy.delay(attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                        if perf.is_collecting():
-                            perf.add_time("bsp.retry.sleep", delay)
-        self._close(relation, label, deliveries=payloads)
 
     def barrier(self, label: str = "barrier") -> None:
         """A pure synchronization: empty relation, still costs ``l``.

@@ -18,7 +18,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro import obs, perf, run_program, typecheck_scheme
-from repro.bsp import BACKENDS
 from repro.core import TypingError, explain as explain_expr
 from repro.lang import LexError, ParseError, parse_program, pretty, with_prelude
 from repro.lang.errors import ReproError
@@ -76,8 +75,8 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
         metavar="FILE",
-        help="collect a structured trace (spans per BSP process, fault "
-        "events, inference timings) and write it to FILE",
+        help="collect a structured trace (spans per BSP process, "
+        "inference timings) and write it to FILE",
     )
     parser.add_argument(
         "--trace-format",
@@ -95,7 +94,6 @@ def _traced_run(args: argparse.Namespace):
     the inference track appears alongside the per-process timelines.
     """
     expr = _load(args)
-    faults, retry = _parse_faults(args.faults)
 
     def evaluate():
         return run_program(
@@ -105,9 +103,6 @@ def _traced_run(args: argparse.Namespace):
             l=args.l,
             use_prelude=not args.no_prelude,
             typed=not args.untyped,
-            backend=args.backend,
-            faults=faults,
-            retry=retry,
         )
 
     trace_path = getattr(args, "trace", None)
@@ -133,7 +128,6 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_profile(args: argparse.Namespace) -> int:
     expr = _load(args)
-    faults, retry = _parse_faults(args.faults)
     with obs.trace() as collected:
         result = run_program(
             expr,
@@ -142,9 +136,6 @@ def _command_profile(args: argparse.Namespace) -> int:
             l=args.l,
             use_prelude=not args.no_prelude,
             typed=not args.untyped,
-            backend=args.backend,
-            faults=faults,
-            retry=retry,
         )
     print(result.python_value)
     print(result.render())
@@ -157,15 +148,6 @@ def _command_profile(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _parse_faults(spec: Optional[str]):
-    """``--faults SPEC`` -> ``(FaultPlan, RetryPolicy)`` (or two Nones)."""
-    if not spec:
-        return None, None
-    from repro.bsp.faults import parse_fault_spec
-
-    return parse_fault_spec(spec)
 
 
 def _command_trace(args: argparse.Namespace) -> int:
@@ -233,21 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--untyped", action="store_true", help="skip the static typecheck"
     )
-    run.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="seq",
-        help="execution backend for the per-process computation phases "
-        "(value and abstract cost are backend-independent)",
-    )
-    run.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="arm deterministic fault injection, e.g. "
-        "'seed=42,crash=0.1,drop=0.05,attempts=4' (keys: seed, crash, "
-        "timeout, drop, dup, corrupt, pool, attempts, delay, jitter, "
-        "multiplier; a survivable plan changes nothing observable)",
-    )
     _add_trace_arguments(run)
     run.set_defaults(handler=_command_run)
 
@@ -262,17 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("-l", type=float, default=20.0, help="BSP l parameter")
     profile.add_argument(
         "--untyped", action="store_true", help="skip the static typecheck"
-    )
-    profile.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="seq",
-        help="execution backend for the per-process computation phases",
-    )
-    profile.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="arm deterministic fault injection for the profiled run",
     )
     _add_trace_arguments(profile)
     profile.set_defaults(handler=_command_profile)
@@ -333,18 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print perf counters and cache hit rates at exit (also :stats)",
     )
     repl.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="seq",
-        help="initial execution backend (also :backend in the session)",
-    )
-    repl.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="arm deterministic fault injection for the session "
-        "(also :faults in the session)",
-    )
-    repl.add_argument(
         "--trace",
         metavar="FILE",
         help="collect a session-long trace and write it to FILE at exit "
@@ -370,12 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-p", type=int, default=4, help="default number of processes")
     serve.add_argument("-g", type=float, default=1.0, help="default BSP g parameter")
     serve.add_argument("-l", type=float, default=20.0, help="default BSP l parameter")
-    serve.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="seq",
-        help="default execution backend (requests may override)",
-    )
     serve.add_argument(
         "--max-concurrency",
         type=int,
@@ -412,8 +350,6 @@ def _command_repl(args: argparse.Namespace) -> int:
     return run_repl(
         params=BspParams(p=args.p, g=args.g, l=args.l),
         stats_at_exit=args.stats,
-        backend=args.backend,
-        fault_spec=args.faults,
         trace_file=args.trace,
         trace_format=args.trace_format,
     )
@@ -428,7 +364,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         p=args.p,
         g=args.g,
         l=args.l,
-        backend=args.backend,
         cache_capacity=args.cache_capacity,
         metrics=not args.no_metrics,
     )
@@ -444,8 +379,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving mini-BSML on http://{server.host}:{server.port} "
-            f"(p={config.p}, backend={config.backend}, "
-            f"max-concurrency={server.max_concurrency})",
+            f"(p={config.p}, max-concurrency={server.max_concurrency})",
             file=sys.stderr,
         )
         await server.serve_forever()

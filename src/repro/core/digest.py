@@ -7,8 +7,8 @@ AST and must hit the same cache entry.  :func:`expr_digest` computes a
 SHA-256 over a canonical s-expression rendering of the parsed tree —
 dataclass fields in declaration order, source locations excluded — and
 :func:`program_digest` mixes in every execution parameter that changes
-the observable result (machine size, BSP cost parameters, backend,
-fault plan, typed/untyped mode, prelude).
+the observable result (machine size, BSP cost parameters,
+typed/untyped mode, prelude).
 
 The rendering walks the dataclass fields generically, so new AST node
 kinds digest correctly without this module changing; field *names* are
@@ -122,8 +122,6 @@ def program_digest(
     p: int,
     g: Union[int, float] = 1,
     l: Union[int, float] = 1,
-    backend: str = "seq",
-    faults: Optional[str] = None,
     typed: bool = True,
     use_prelude: bool = True,
     extra: Optional[Mapping[str, Any]] = None,
@@ -131,8 +129,7 @@ def program_digest(
     """The service's cache key: the expression digest plus every knob
     that changes the response payload.
 
-    ``faults`` is the textual fault-spec (already deterministic — a spec
-    names its seed); ``extra`` admits forward-compatible additions
+    ``extra`` admits forward-compatible additions
     without a digest-version bump (keys are sorted).
     """
     parts = [
@@ -140,8 +137,6 @@ def program_digest(
         f"p={p}",
         f"g={g}",
         f"l={l}",
-        f"backend={backend}",
-        f"faults={faults or ''}",
         f"typed={typed}",
         f"prelude={use_prelude}",
     ]

@@ -13,13 +13,13 @@ Three sources feed the registry:
   registered with :mod:`repro.obs.tracer`; every finished span or event
   (superstep compute/exchange/barrier phases, per-process tasks, the
   ``infer`` span of every inference plus the ``Solve``/unify/judgment
-  spans recorded inside trace windows, fault/retry/rollback events) is
+  spans recorded inside trace windows) is
   projected onto the standard histograms and counters below.  The sink
   is *not* context-local on purpose: per-request trace windows stay
   isolated in their :mod:`contextvars`, while the metrics aggregate
   across every request of the process;
 * the **service layer** — :mod:`repro.service.server` observes
-  per-route/backend request latency and maintains the admission
+  per-route request latency and maintains the admission
   gauges; :mod:`repro.service.cache` counts response-cache and front-map
   hits;
 * the **perf layer** — :mod:`repro.perf.bridge` contributes scrape-time
@@ -484,11 +484,11 @@ class MetricsRegistry:
 
 _GLOBAL = MetricsRegistry()
 
-#: Request latency by logical route, backend and cache outcome.
+#: Request latency by logical route and cache outcome.
 REQUEST_SECONDS = _GLOBAL.histogram(
     "repro_request_seconds",
     "Service request latency in seconds.",
-    ("route", "backend", "cache"),
+    ("route", "cache"),
 )
 
 #: Requests by route and HTTP status (429 rejections included).
@@ -560,24 +560,6 @@ INFERENCE_SECONDS = _GLOBAL.histogram(
     ("kind",),
 )
 
-FAULTS_TOTAL = _GLOBAL.counter(
-    "repro_faults_total",
-    "Injected faults drawn from armed fault plans, by kind.",
-    ("kind",),
-)
-
-RETRIES_TOTAL = _GLOBAL.counter(
-    "repro_retries_total",
-    "Superstep retry attempts, by phase.",
-    ("phase",),
-)
-
-ROLLBACKS_TOTAL = _GLOBAL.counter(
-    "repro_rollbacks_total",
-    "Superstep rollbacks (retries exhausted), by phase.",
-    ("phase",),
-)
-
 TASK_SECONDS_TOTAL = _GLOBAL.counter(
     "repro_task_seconds_total",
     "Measured per-process compute seconds (load-imbalance numerator).",
@@ -616,12 +598,6 @@ def _trace_sink(record: TraceRecord) -> None:
         words = record.arg("words")
         if words:
             WORDS_TOTAL.inc(words)
-    elif name == "fault":
-        FAULTS_TOTAL.inc(kind=str(record.arg("kind", "unknown")))
-    elif name == "retry":
-        RETRIES_TOTAL.inc(phase=str(record.arg("phase", "")))
-    elif name == "rollback":
-        ROLLBACKS_TOTAL.inc(phase=str(record.arg("phase", "")))
 
 
 # -- enable/disable (reference counted) ---------------------------------------
@@ -638,7 +614,7 @@ def is_enabled() -> bool:
 def enable() -> None:
     """Turn metrics collection on (reference counted).
 
-    Installs the trace sink so superstep/inference/fault records feed
+    Installs the trace sink so superstep and inference records feed
     the histograms, and registers the perf-layer cache bridge as a
     scrape-time collector.
     """

@@ -7,12 +7,10 @@ timestamp and a duration) and **instant events** (a name and a
 timestamp) — laid out on named **tracks**:
 
 * one track per BSP process id (``proc 0`` ... ``proc p-1``) carrying
-  the per-process task lifecycle of each computation phase, plus any
-  fault injected into that process;
+  the per-process task lifecycle of each computation phase;
 * a ``machine`` track carrying the superstep phases themselves
   (compute / exchange / barrier), superstep commits with their
-  committed :class:`~repro.bsp.cost.BspCost` row, retries and
-  rollbacks;
+  committed :class:`~repro.bsp.cost.BspCost` row;
 * an ``inference`` track carrying the ``infer`` span of each inference
   run and, inside a trace window only (:func:`window_open`), the
   per-judgment spans and the ``Solve``/unification work under them.
@@ -39,11 +37,11 @@ coordinator-measured phase spans share one timeline.  Exporters
 
 **Abstract versus measured.**  Every record separates what is
 *deterministic* about an execution (span names, tracks, superstep
-indices, abstract op counts, h-relations, fault outcomes) from what is
+indices, abstract op counts, h-relations) from what is
 *measured* (timestamps, durations, wall-clock seconds, backend names).
 :meth:`Trace.abstract_signature` projects a trace onto its deterministic
-part: records whose name starts with ``backend.`` (pool recycling,
-re-entrant inline runs — legitimate per-backend behaviour) are dropped,
+part: records whose name starts with ``backend.`` (re-entrant inline
+runs — legitimate per-backend behaviour) are dropped,
 and arg keys in :data:`NONABSTRACT_ARGS` are filtered out.  The
 conformance harness (:func:`repro.testing.conform`) demands that this
 signature be bit-identical across execution backends and evaluation
@@ -59,7 +57,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-#: The track carrying superstep phases, commits, retries and rollbacks.
+#: The track carrying superstep phases and commits.
 MACHINE_TRACK = "machine"
 
 #: The track carrying typing judgments, Solve checks and unification.
@@ -70,7 +68,7 @@ INFERENCE_TRACK = "inference"
 NONABSTRACT_ARGS = frozenset({"seconds", "ms", "backend"})
 
 #: Record-name prefixes whose records are backend-specific lifecycle
-#: (pool recycling, re-entrant inline runs) and excluded from the signature.
+#: (re-entrant inline runs) and excluded from the signature.
 NONABSTRACT_PREFIXES = ("backend.",)
 
 

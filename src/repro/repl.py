@@ -10,7 +10,7 @@ Meta-commands::
     :explain <expr>  print the typing derivation (or the rejection tree)
     :trace <expr>    print the small-step reduction sequence
     :trace on|off    start/pause structured trace collection (spans per
-                     BSP process, fault events, inference timings)
+                     BSP process, inference timings)
     :trace save F    write the collected trace to F (suffix picks the
                      format: .jsonl, .txt summary, else Chrome JSON)
     :cost            print the BSP cost accumulated so far
@@ -19,9 +19,6 @@ Meta-commands::
     :metrics         print the Prometheus exposition of the session's
                      metrics (:metrics on|off toggles collection,
                      :metrics reset zeroes every series)
-    :backend [name]  show or switch the execution backend (seq/thread)
-    :faults [SPEC]   show, arm (e.g. seed=42,crash=0.1,attempts=4) or
-                     disarm (:faults off) deterministic fault injection
     :reset           forget definitions and cost
     :p <n> [g] [l]   restart the machine with new BSP parameters
     :env             list the session's definitions
@@ -41,8 +38,6 @@ import sys
 from typing import Dict, Optional, TextIO
 
 from repro import obs, perf
-from repro.bsp.executor import BACKENDS, get_executor
-from repro.bsp.faults import FaultSpecError, parse_fault_spec
 from repro.bsp.machine import BspMachine
 from repro.bsp.params import BspParams
 from repro.core.infer import infer
@@ -64,17 +59,8 @@ from repro.semantics.values import Value, reify
 class Session:
     """One REPL session: typing environment, value environment, machine."""
 
-    def __init__(
-        self,
-        params: Optional[BspParams] = None,
-        backend: str = "seq",
-        fault_spec: Optional[str] = None,
-    ) -> None:
+    def __init__(self, params: Optional[BspParams] = None) -> None:
         self.params = params or BspParams(p=4, g=1.0, l=20.0)
-        self.backend = backend
-        #: The armed ``:faults`` spec (re-armed with a fresh plan, same
-        #: seed, on every :meth:`reset`); None when faults are off.
-        self.fault_spec = fault_spec
         #: Session-long perf window, installed by :func:`run_repl`.
         self.perf_stats: Optional[perf.PerfStats] = None
         #: Structured trace window (``:trace on`` or ``--trace FILE``);
@@ -87,10 +73,7 @@ class Session:
         self.reset()
 
     def reset(self) -> None:
-        self.machine = BspMachine(self.params, executor=get_executor(self.backend))
-        if self.fault_spec:
-            plan, policy = parse_fault_spec(self.fault_spec)
-            self.machine.arm_faults(plan, policy)
+        self.machine = BspMachine(self.params)
         self.evaluator = CompiledEvaluator(self.params.p, self.machine)
         self.type_env: TypeEnv = prelude_env()
         self.values: Dict[str, Value] = {}
@@ -154,62 +137,6 @@ class Session:
         if command == ":metrics":
             self._metrics_meta(rest, out)
             return True
-        if command == ":backend":
-            if not rest:
-                print(
-                    f"backend: {self.machine.executor.name} "
-                    f"(available: {', '.join(BACKENDS)})",
-                    file=out,
-                )
-                return True
-            previous = self.machine.executor
-            try:
-                self.machine.use_backend(rest)
-                # Probe eagerly so an unavailable pool is one clear line
-                # now, not a traceback at the next evaluation.
-                self.machine.executor.ensure_available()
-            except (ValueError, ReproError) as error:
-                self.machine.executor = previous
-                print(f"error: {error}", file=out)
-                return True
-            self.backend = self.machine.executor.name
-            print(
-                f"backend switched to {self.machine.executor.name} "
-                "(definitions and accumulated cost carry over)",
-                file=out,
-            )
-            return True
-        if command == ":faults":
-            if not rest:
-                plan, policy = self.machine.faults, self.machine.retry
-                if plan is None:
-                    print("faults: off", file=out)
-                else:
-                    print(
-                        f"faults: {plan.describe()}"
-                        + (f"; {policy.describe()}" if policy else "; no retry"),
-                        file=out,
-                    )
-                return True
-            if rest.lower() in ("off", "none", "clear"):
-                self.fault_spec = None
-                self.machine.disarm_faults()
-                print("faults disarmed", file=out)
-                return True
-            try:
-                plan, policy = parse_fault_spec(rest)
-            except FaultSpecError as error:
-                print(f"error: {error}", file=out)
-                return True
-            self.fault_spec = rest
-            self.machine.arm_faults(plan, policy)
-            print(
-                f"faults armed: {plan.describe()}"
-                + (f"; {policy.describe()}" if policy else "; no retry "
-                   "policy (every injected fault is fatal but atomic)"),
-                file=out,
-            )
-            return True
         if command == ":reset":
             self.reset()
             print("session reset", file=out)
@@ -232,7 +159,7 @@ class Session:
             print(f"machine restarted: {self.params.describe()}", file=out)
             return True
         print(f"unknown command {command!r} (try :type :explain :trace :cost "
-              ":stats :metrics :backend :faults :reset "
+              ":stats :metrics :reset "
               ":env :p :quit)",
               file=out)
         return True
@@ -386,8 +313,6 @@ def run_repl(
     params: Optional[BspParams] = None,
     banner: bool = True,
     stats_at_exit: bool = False,
-    backend: str = "seq",
-    fault_spec: Optional[str] = None,
     trace_file: Optional[str] = None,
     trace_format: Optional[str] = None,
 ) -> int:
@@ -396,9 +321,6 @@ def run_repl(
     A session-long perf window is collected so ``:stats`` can report
     counters and solver-cache hit rates at any point; with
     ``stats_at_exit`` the final report is also printed when leaving.
-    ``backend`` picks the initial execution backend (``:backend``
-    switches it live); ``fault_spec`` arms fault injection from the
-    start (``:faults`` shows, re-arms or disarms it live).
     ``trace_file`` turns structured trace collection on from the start
     and writes whatever was collected there on exit (``:trace`` controls
     the window live; an explicit ``:trace save`` mid-session is also
@@ -406,7 +328,7 @@ def run_repl(
     """
     stdin = input_stream if input_stream is not None else sys.stdin
     out = output_stream if output_stream is not None else sys.stdout
-    session = Session(params, backend=backend, fault_spec=fault_spec)
+    session = Session(params)
     if trace_file:
         session.trace_collector = obs.start()
     interactive = stdin.isatty() if hasattr(stdin, "isatty") else False

@@ -33,10 +33,8 @@ tree engine, in the same program order: one charge per application /
 conditional / ``let`` / primitive reduction, per-component tasks through
 :meth:`~repro.bsp.machine.BspMachine.run_superstep` (abstract op counts
 computed inside the tasks, so every backend agrees), the same exchange
-matrices under the same labels for ``put`` and ``if ... at``.  Fault
-plans draw machine-side in program order, so an armed
-:class:`~repro.bsp.faults.FaultPlan` replays the identical schedule
-under either engine, and the structured trace's
+matrices under the same labels for ``put`` and ``if ... at``.  So the
+structured trace's
 :meth:`~repro.obs.tracer.Trace.abstract_signature` is bit-identical too.
 The conformance harness (:func:`repro.testing.conform`) enforces all
 three equalities across engines × backends.

@@ -49,8 +49,6 @@ def run_costed(
     params: BspParams,
     use_prelude: bool = False,
     backend: str = "seq",
-    faults=None,
-    retry=None,
     engine: str = "compiled",
 ) -> CostedResult:
     """Evaluate ``expr`` at size ``params.p`` with full cost accounting.
@@ -68,19 +66,11 @@ def run_costed(
     signatures are engine-independent by construction — the engine axis
     of :func:`repro.testing.conform` enforces it.
 
-    ``faults``/``retry`` arm a :class:`~repro.bsp.faults.FaultPlan` and
-    :class:`~repro.bsp.faults.RetryPolicy` on the machine: supersteps
-    then run transactionally, transient faults are retried, and a
-    survivable fault schedule leaves value and cost bit-identical to a
-    fault-free run (the chaos conformance property).
-
     Wrapped in :func:`deep_recursion` like the other evaluator entry
     points: prelude linking and evaluation both recurse over the AST, and
     a deep ``let`` tower is a legitimate program.
     """
-    machine = BspMachine(
-        params, executor=get_executor(backend), faults=faults, retry=retry
-    )
+    machine = BspMachine(params, executor=get_executor(backend))
     evaluator_cls = get_engine(engine)
     with deep_recursion():
         program = with_prelude(expr) if use_prelude else expr
@@ -93,18 +83,9 @@ def run_source(
     params: BspParams,
     use_prelude: bool = True,
     filename: str = "<input>",
-    backend: str = "seq",
-    faults=None,
-    retry=None,
     engine: str = "compiled",
 ) -> CostedResult:
     """Parse a program (definitions + final expression) and run it costed."""
     return run_costed(
-        parse_program(source, filename),
-        params,
-        use_prelude,
-        backend,
-        faults,
-        retry,
-        engine,
+        parse_program(source, filename), params, use_prelude, engine=engine
     )

@@ -6,7 +6,7 @@ to the same entry — and a hit returns the *serialized bytes* of the
 original response, making cache replays byte-identical by construction.
 
 The service keeps a second instance, the *front map*, keyed on
-``sha256(route + request body)`` and holding ``(digest, backend label)``:
+``sha256(route + request body)`` and holding the program digest:
 it lets a byte-identical repeat find its response-cache entry without
 being parsed.  The digest stays the cache identity; the front map holds
 no response bytes.  Each instance counts under its constructor ``name``.

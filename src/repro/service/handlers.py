@@ -10,8 +10,7 @@ pins down.
 
 Determinism contract: the ``type``, ``constraints``, ``value`` and
 ``cost`` fields of a successful response are pure functions of the
-request (fault plans included — a survivable plan is bit-identical to a
-clean run), and cached replays return the originally serialized bytes.
+request, and cached replays return the originally serialized bytes.
 Only ``trace_summary`` carries wall-clock measurements and is excluded
 from that promise.
 
@@ -28,18 +27,11 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro import obs, perf
-from repro.bsp import (
-    BACKENDS,
-    BspFaultError,
-    BspParams,
-    FaultSpecError,
-    get_executor,
-    parse_fault_spec,
-)
+from repro.bsp import BspParams
 from repro.core.constraints import TRUE, constraint_atoms, render_constraint
 from repro.core.digest import expr_digest, program_digest
 from repro.core.errors import TypingError
@@ -63,7 +55,10 @@ class ServiceConfig:
     p: int = 4
     g: float = 1.0
     l: float = 20.0
-    backend: str = "seq"
+    #: Every backend answers bit-identically, so the service always runs
+    #: on the sequential one; ``thread`` is a conformance oracle only.
+    #: A constant, not a field: ``e2ebench/replay.py`` reads it.
+    backend: ClassVar[str] = "seq"
     #: Evaluation and type-inference engines.  Every engine answers
     #: bit-identically, so no request field selects one; the reference
     #: engines (``tree``, ``w``) are set here only by conformance
@@ -102,19 +97,6 @@ def _render_constrained(ct: ConstrainedType) -> Tuple[str, str]:
     if ct.constraint == TRUE:
         return type_text, "True"
     return type_text, render_constraint(ct.constraint, names)
-
-
-def backend_label(payload: Dict[str, Any]) -> str:
-    """Bounded backend label for the latency histogram.
-
-    The value is client-supplied, so anything outside the known
-    backend vocabulary is bucketed as ``other`` — one bad (or
-    adversarial) client must not mint unbounded label cardinality.
-    """
-    backend = payload.get("backend", "-")
-    if backend != "-" and backend not in BACKENDS:
-        backend = "other"
-    return str(backend)
 
 
 def _value_text(result: CostedResult) -> str:
@@ -231,10 +213,10 @@ class ServiceCore:
         self.cache: ShardedCache[bytes] = ShardedCache(
             self.config.cache_capacity, self.config.cache_shards
         )
-        #: ``sha256(route + body)`` -> ``(digest, backend label)`` of a
-        #: request answered 200, so a byte-identical repeat finds its
+        #: ``sha256(route + body)`` -> program digest of a request
+        #: answered 200, so a byte-identical repeat finds its
         #: response-cache entry unparsed (:meth:`replay`).
-        self.front: ShardedCache[Tuple[str, str]] = ShardedCache(
+        self.front: ShardedCache[str] = ShardedCache(
             self.config.cache_capacity, self.config.cache_shards, name="front_map"
         )
         self.started_at = time.time()
@@ -250,11 +232,9 @@ class ServiceCore:
         with self._requests_lock:
             self.requests += 1
 
-    def _remember(
-        self, front_key: Optional[str], digest: str, payload: Dict[str, Any]
-    ) -> None:
+    def _remember(self, front_key: Optional[str], digest: str) -> None:
         if front_key is not None:
-            self.front.put(front_key, (digest, backend_label(payload)))
+            self.front.put(front_key, digest)
 
     def replay(self, digest: str) -> Optional[bytes]:
         """The cached response under ``digest`` for a front-map hit,
@@ -272,10 +252,8 @@ class ServiceCore:
             "p": payload.get("p", config.p),
             "g": payload.get("g", config.g),
             "l": payload.get("l", config.l),
-            "backend": payload.get("backend", config.backend),
             "typed": payload.get("typed", True),
             "prelude": payload.get("prelude", True),
-            "faults": payload.get("faults"),
         }
         p = options["p"]
         if isinstance(p, bool) or not isinstance(p, int) or p < 1:
@@ -291,15 +269,9 @@ class ServiceCore:
                 raise RequestError(
                     400, "bad-request", f"{knob} must be a finite non-negative number"
                 )
-        try:
-            get_executor(options["backend"])
-        except ValueError as error:
-            raise RequestError(400, "bad-request", str(error)) from None
         for knob in ("typed", "prelude"):
             if not isinstance(options[knob], bool):
                 raise RequestError(400, "bad-request", f"{knob} must be a boolean")
-        if options["faults"] is not None and not isinstance(options["faults"], str):
-            raise RequestError(400, "bad-request", "faults must be a spec string")
         return options
 
     # -- endpoints --------------------------------------------------------
@@ -320,7 +292,7 @@ class ServiceCore:
         )
         cached = self.cache.get(digest)
         if cached is not None:
-            self._remember(front_key, digest, payload)
+            self._remember(front_key, digest)
             return 200, cached, "hit"
         env = prelude_env() if options["prelude"] else TypeEnv.empty()
         try:
@@ -338,7 +310,7 @@ class ServiceCore:
             }
         )
         self.cache.put(digest, body)
-        self._remember(front_key, digest, payload)
+        self._remember(front_key, digest)
         return 200, body, "miss"
 
     def handle_run(
@@ -353,30 +325,21 @@ class ServiceCore:
             p=options["p"],
             g=options["g"],
             l=options["l"],
-            backend=options["backend"],
-            faults=options["faults"],
             typed=options["typed"],
             use_prelude=options["prelude"],
         )
         cached = self.cache.get(digest)
         if cached is not None:
-            self._remember(front_key, digest, payload)
+            self._remember(front_key, digest)
             return 200, cached, "hit"
         body = serialize(self._run_payload(expr, digest, options))
         self.cache.put(digest, body)
-        self._remember(front_key, digest, payload)
+        self._remember(front_key, digest)
         return 200, body, "miss"
 
     def _run_payload(
         self, expr: Expr, digest: str, options: Dict[str, Any]
     ) -> Dict[str, Any]:
-        faults = retry = None
-        if options["faults"]:
-            try:
-                faults, retry = parse_fault_spec(options["faults"])
-            except FaultSpecError as error:
-                raise RequestError(400, "bad-request", str(error)) from error
-
         type_text = constraint_text = None
         if options["typed"]:
             env = prelude_env() if options["prelude"] else None
@@ -389,14 +352,7 @@ class ServiceCore:
         runnable = with_prelude(expr) if options["prelude"] else expr
         params = BspParams(p=options["p"], g=options["g"], l=options["l"])
         trace_window = obs.trace() if self.config.trace_summaries else None
-        run = lambda: run_costed(
-            runnable,
-            params,
-            backend=options["backend"],
-            faults=faults,
-            retry=retry,
-            engine=self.config.engine,
-        )
+        run = lambda: run_costed(runnable, params, engine=self.config.engine)
         try:
             if trace_window is not None:
                 with trace_window as collected:
@@ -407,10 +363,6 @@ class ServiceCore:
                 trace_summary = None
         except StuckError as error:
             raise RequestError(422, "stuck", str(error)) from error
-        except BspFaultError as error:
-            # A fatal (non-survivable) injected fault: the superstep
-            # aborted atomically; report it as the request's outcome.
-            raise RequestError(422, "fault", str(error)) from error
         except RecursionError as error:
             raise RequestError(422, "recursion", "program exceeds evaluation depth") from error
         except ValueError as error:
@@ -478,8 +430,6 @@ class ServiceCore:
             p=options["p"],
             g=options["g"],
             l=options["l"],
-            backend=options["backend"],
-            faults=options["faults"],
             typed=options["typed"],
             use_prelude=options["prelude"],
         )

@@ -14,7 +14,7 @@ front map, and the digest finds the serialized response in the response
 cache, so the repeat is neither decoded, parsed, digested nor handed to
 a pool thread.  It is counted like an offloaded hit: ``/v1/stats``
 ``requests``, ``repro_requests_total``, ``repro_request_seconds`` with
-``cache="hit"`` and the request's backend label, one response-cache hit,
+``cache="hit"``, one response-cache hit,
 and ``X-Repro-Cache: hit``.  If the digest's response was evicted, the
 request takes the offloaded path, whose lookup is its one counted
 response-cache lookup.  Session routes never use the front map: their
@@ -40,8 +40,7 @@ Routes::
     GET  /v1/metrics                 Prometheus text exposition
     GET  /v1/stats                   counters, cache, front-map + intern-pool sizes
     POST /v1/typecheck               {program, p?, prelude?}
-    POST /v1/run                     {program, p?, g?, l?, backend?,
-                                      faults?, typed?, prelude?}
+    POST /v1/run                     {program, p?, g?, l?, typed?, prelude?}
     POST /v1/session                 {prelude?} -> {session}
     GET  /v1/session/<sid>           definitions + chain-cache size
     POST /v1/session/<sid>/define    {name, source} -> per-def schemes
@@ -66,7 +65,6 @@ from repro.service.handlers import (
     RequestError,
     ServiceConfig,
     ServiceCore,
-    backend_label,
     serialize,
 )
 
@@ -326,19 +324,18 @@ class ReproServer:
         or the 429 an offloaded request would get; ``None`` sends the
         request down the offloaded path."""
         started = time.perf_counter()
-        entry = self.core.front.get(front_key)
-        if entry is None:
+        digest = self.core.front.get(front_key)
+        if digest is None:
             return None
         rejected = self._reject_if_overloaded(route)
         if rejected is not None:
             return rejected
-        digest, backend = entry
         body = self.core.replay(digest)
         if body is None:
             return None
         if metrics.is_enabled():
             metrics.REQUEST_SECONDS.observe(
-                time.perf_counter() - started, route=route, backend=backend, cache="hit"
+                time.perf_counter() - started, route=route, cache="hit"
             )
             metrics.REQUESTS_TOTAL.inc(route=route, status="200")
         return 200, body, {"X-Repro-Cache": "hit"}
@@ -511,7 +508,6 @@ class ReproServer:
                     metrics.REQUEST_SECONDS.observe(
                         time.perf_counter() - started,
                         route=route,
-                        backend=backend_label(payload),
                         cache=cache_state or "-",
                     )
                     metrics.REQUESTS_TOTAL.inc(route=route, status=str(status))

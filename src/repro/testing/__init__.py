@@ -2,8 +2,6 @@
 conformance harness (:func:`conform`)."""
 
 from repro.testing.differential import (
-    DEFAULT_CHAOS_POLICY,
-    DEFAULT_CHAOS_RATES,
     Observation,
     Report,
     conform,
@@ -25,8 +23,6 @@ __all__ = [
     "CORPUS_IMPERATIVE",
     "CORPUS_LOCAL",
     "CORPUS_REJECTED",
-    "DEFAULT_CHAOS_POLICY",
-    "DEFAULT_CHAOS_RATES",
     "Observation",
     "ProgramGenerator",
     "Report",

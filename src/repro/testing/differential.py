@@ -2,8 +2,7 @@
 
 Every observable of this system is deterministic by construction — the
 BSP cost model's op counts, traffic matrices and superstep structure
-depend only on the program, and all fault decisions are drawn
-machine-side from a seeded stream in program order.  So the redundant
+depend only on the program.  So the redundant
 implementations admit a sharp correctness check: :func:`conform` runs
 the *same* program at every point of an axis product and requires the
 observations to agree bit for bit.  This is the "check the parallel
@@ -15,9 +14,8 @@ The axes:
 
 * **evaluation** — ``engines × backends`` (the tree evaluator and the
   closure compiler, :mod:`repro.semantics.compiled`; the sequential and
-  thread executors, :mod:`repro.bsp.executor`), run once cleanly and
-  once per armed :class:`~repro.bsp.faults.FaultPlan` in ``faults``.
-  The first clean point (``tree/seq``) is the reference;
+  thread executors, :mod:`repro.bsp.executor`).  The first point
+  (``tree/seq``) is the reference;
 * **typing** — ``infer_engines`` (the Fig. 7 substitution engine ``w``
   first, then the union-find engine), each replaying the same fresh
   type-variable names.
@@ -28,21 +26,16 @@ neither an engine nor a typing axis.
 
 The verdict rules (:meth:`Report.divergence`):
 
-* clean points agree on the error; on success also on the value
+* evaluation points agree on the error; on success also on the value
   fingerprint, the full :class:`~repro.bsp.cost.BspCost` and the
   abstract trace signature, and on the value ``repr`` among points of
   one engine (the engines represent closures differently while denoting
   the same function).  Error points are exempt from the trace
   comparison: a failing phase cuts the trace short;
-* the armed points of one plan either all complete exactly like the
-  clean reference (value and cost), with trace signatures equal among
-  themselves — fault and retry records appear only under the plan — or
-  all raise the same :class:`~repro.bsp.faults.SuperstepFault` with the
-  machine rolled back;
 * typing points produce interned-identical pruned and unpruned types and
   constraints, identical derivations and the same error text;
-* Theorem 1: when the reference typing accepts the program, no clean
-  point gets stuck or nests dynamically, and every clean value's
+* Theorem 1: when the reference typing accepts the program, no evaluation
+  point gets stuck or nests dynamically, and every value's
   reification retypes at a type unifiable with the inferred one.
 """
 
@@ -57,7 +50,6 @@ import repro.core.types as core_types
 from repro import obs
 from repro.bsp.cost import BspCost
 from repro.bsp.executor import BACKENDS, get_executor
-from repro.bsp.faults import FaultPlan, RetryPolicy, SuperstepFault
 from repro.bsp.machine import BspMachine
 from repro.bsp.params import BspParams
 from repro.bsml.primitives import Bsml, ParVector
@@ -78,21 +70,6 @@ from repro.semantics.values import VClosure, VCompiledClosure, reify
 #: Anything the harness can execute.
 Program = Union[str, Expr, Callable[[Bsml], Any]]
 
-#: Default per-site fault rates for chaos plans: high enough that most
-#: plans inject *something*, low enough that the default retry policy
-#: survives the large majority of them.
-DEFAULT_CHAOS_RATES: Dict[str, float] = {
-    "crash": 0.08,
-    "timeout": 0.05,
-    "drop": 0.06,
-    "dup": 0.03,
-    "corrupt": 0.03,
-    "pool": 0.01,
-}
-
-#: Default retry policy for armed points (no real sleeping in sweeps).
-DEFAULT_CHAOS_POLICY = RetryPolicy(max_attempts=4, base_delay=0.0)
-
 #: Runtime errors Theorem 1 rules out for a well-typed program.
 _UNSAFE_ERRORS = ("StuckError", "DynamicNestingError")
 
@@ -102,7 +79,7 @@ class Observation:
     """What one axis point observed of a program.
 
     Evaluation points set ``backend`` (and ``engine``, except for
-    BSMLlib callables) and, when armed, ``plan``; typing points set
+    BSMLlib callables); typing points set
     ``infer_engine``.  ``fingerprint`` is the engine-independent value
     observation (:func:`_value_fingerprint`), ``trace`` the abstract trace
     signature (:meth:`repro.obs.Trace.abstract_signature`).
@@ -112,7 +89,6 @@ class Observation:
 
     backend: Optional[str] = None
     engine: Optional[str] = None
-    plan: Optional[FaultPlan] = None
     infer_engine: Optional[str] = None
     value: Any = None
     value_repr: Optional[str] = None
@@ -120,8 +96,6 @@ class Observation:
     cost: Optional[BspCost] = None
     trace: Optional[Tuple] = None
     error: Optional[str] = None
-    faulted: bool = False
-    state_restored: Optional[bool] = None
     conclusion: Any = None
     full: Any = None
     derivation: Any = None
@@ -132,12 +106,10 @@ class Observation:
 
     @property
     def point(self) -> str:
-        """The axis point, e.g. ``compiled/thread``, ``tree/seq @ plan
-        seed=3, crash=0.5`` or ``infer uf``."""
+        """The axis point, e.g. ``compiled/thread`` or ``infer uf``."""
         if self.infer_engine is not None:
             return f"infer {self.infer_engine}"
-        name = "/".join(axis for axis in (self.engine, self.backend) if axis)
-        return name if self.plan is None else f"{name} @ plan {self.plan.describe()}"
+        return "/".join(axis for axis in (self.engine, self.backend) if axis)
 
 
 @dataclass
@@ -146,16 +118,12 @@ class Report:
 
     description: str
     observations: List[Observation] = field(default_factory=list)
-    faults: Sequence[FaultPlan] = ()
     env: Any = None  # the typing environment (Theorem 1 retypes under it)
 
     @property
-    def clean(self) -> List[Observation]:
-        return [o for o in self.observations if o.backend and o.plan is None]
-
-    @property
-    def armed(self) -> List[Observation]:
-        return [o for o in self.observations if o.plan is not None]
+    def evaluations(self) -> List[Observation]:
+        """The evaluation points, in run order."""
+        return [o for o in self.observations if o.backend]
 
     @property
     def typing(self) -> List[Observation]:
@@ -163,19 +131,14 @@ class Report:
 
     @property
     def reference(self) -> Observation:
-        """The first clean evaluation point (``tree/seq`` by default), or
+        """The first evaluation point (``tree/seq`` by default), or
         the first typing point when there is no evaluation axis."""
-        return (self.clean or self.typing)[0]
+        return (self.evaluations or self.typing)[0]
 
     @property
     def succeeded(self) -> bool:
-        """True when every clean and typing point succeeded."""
-        return all(o.ok for o in self.observations if o.plan is None)
-
-    @property
-    def survivable(self) -> bool:
-        """True when every armed point completed."""
-        return all(o.ok for o in self.armed)
+        """True when every evaluation and typing point succeeded."""
+        return all(o.ok for o in self.observations)
 
     @property
     def conforms(self) -> bool:
@@ -184,18 +147,13 @@ class Report:
     def divergence(self) -> Optional[str]:
         """The first broken verdict rule as ``"<point>: <field> ..."``, or
         None when the observations conform."""
-        clean, typing = self.clean, self.typing
+        evaluations, typing = self.evaluations, self.typing
         peers: Dict[Optional[str], Observation] = {}
-        for point in clean:
+        for point in evaluations:
             peer = peers.setdefault(point.engine, point)
-            found = _difference(clean[0], point, peer, clean[0])
+            found = _difference(evaluations[0], point, peer)
             if found:
                 return f"{point.point}: {found}"
-        for plan in self.faults if clean else ():
-            armed = [o for o in self.armed if o.plan is plan]
-            found = _armed_divergence(clean[0], armed, peers)
-            if found:
-                return found
         for point in typing[1:]:
             found = _typing_difference(typing[0], point)
             if found:
@@ -203,7 +161,7 @@ class Report:
         if typing and typing[0].ok:
             # Equal fingerprints are equal reified terms: retype each once.
             retyped: Dict[Optional[str], Optional[str]] = {}
-            for point in clean:
+            for point in evaluations:
                 key = point.error or point.fingerprint
                 if key not in retyped:
                     retyped[key] = self._preservation(point, typing[0].conclusion.type)
@@ -246,10 +204,7 @@ class Report:
             lines.append(f"  first divergence at {found}")
         for point in self.observations:
             if point.error is not None:
-                kind = "superstep fault" if point.faulted else "error"
-                shown = f"{kind}: {point.error}"
-                if point.faulted:
-                    shown += f" (state restored: {point.state_restored})"
+                shown = f"error: {point.error}"
             elif point.infer_engine is not None:
                 shown = f"type: {point.conclusion}"
             else:
@@ -260,14 +215,10 @@ class Report:
 
 
 def _difference(
-    expected: Observation,
-    got: Observation,
-    peer: Observation,
-    trace_reference: Observation,
+    expected: Observation, got: Observation, peer: Observation
 ) -> Optional[str]:
     """The first evaluation field where ``got`` departs from ``expected``
-    (``repr`` is compared against the same-engine ``peer``, the trace
-    against ``trace_reference``)."""
+    (``repr`` is compared against the same-engine ``peer``)."""
     if got.error != expected.error:
         return f"error: expected {expected.error!r}, got {got.error!r}"
     if got.error is not None:
@@ -278,33 +229,8 @@ def _difference(
         return f"value: expected {peer.value_repr}, got {got.value_repr}"
     if got.cost != expected.cost:
         return _cost_divergence(expected.cost, got.cost)
-    if trace_reference.ok and got.trace != trace_reference.trace:
-        return _trace_divergence(trace_reference.trace, got.trace)
-    return None
-
-
-def _armed_divergence(
-    reference: Observation,
-    armed: List[Observation],
-    peers: Dict[Optional[str], Observation],
-) -> Optional[str]:
-    """Either every armed point of one plan completes exactly like the
-    clean reference, or every one raises the same SuperstepFault
-    atomically."""
-    if any(o.faulted for o in armed):
-        for point in armed:
-            if not point.faulted or point.error != armed[0].error:
-                return (
-                    f"{point.point}: error: expected {armed[0].error!r}, "
-                    f"got {point.error!r}"
-                )
-            if not point.state_restored:
-                return f"{point.point}: state_restored: the fault was not atomic"
-        return None
-    for point in armed:
-        found = _difference(reference, point, peers[point.engine], armed[0])
-        if found:
-            return f"{point.point}: {found}"
+    if got.trace != expected.trace:
+        return _trace_divergence(expected.trace, got.trace)
     return None
 
 
@@ -431,18 +357,10 @@ def _observe(
     params: BspParams,
     backend: str,
     engine: Optional[str],
-    plan: Optional[FaultPlan],
-    policy: Optional[RetryPolicy],
 ) -> Observation:
     """Run one evaluation point on a machine of its own, traced."""
-    point = Observation(backend=backend, engine=engine, plan=plan)
-    armed = plan is not None
-    machine = BspMachine(
-        params,
-        executor=get_executor(backend),
-        faults=plan.replay() if armed else None,
-        retry=policy if armed else None,
-    )
+    point = Observation(backend=backend, engine=engine)
+    machine = BspMachine(params, executor=get_executor(backend))
     with obs.trace() as collected:
         try:
             if expr is None:
@@ -451,14 +369,6 @@ def _observe(
             else:
                 with deep_recursion():
                     value = get_engine(engine)(params.p, machine).eval(expr)
-        except SuperstepFault as fault:
-            point.error = _observe_error(fault)
-            point.faulted = True
-            # The machine promises atomicity; double-check that whatever
-            # committed before the failed phase still decomposes cleanly.
-            point.state_restored = (
-                fault.state_restored and machine.cost().check_decomposition(params)
-            )
         except Exception as error:
             point.error = _observe_error(error)
         else:
@@ -490,8 +400,6 @@ def conform(
     *,
     backends: Sequence[str] = BACKENDS,
     engines: Sequence[str] = ENGINES,
-    faults: Sequence[FaultPlan] = (),
-    policy: Optional[RetryPolicy] = DEFAULT_CHAOS_POLICY,
     infer_engines: Sequence[str] = INFER_ENGINES,
     use_prelude: Optional[bool] = None,
 ) -> Report:
@@ -501,15 +409,14 @@ def conform(
     agrees on conforms, so callers that need success assert
     ``report.succeeded``.
 
-    Points run in order: the clean ``engines × backends`` product, then
-    that product once per plan in ``faults`` (each point on
-    ``plan.replay()`` under ``policy``), then ``infer_engines``.
+    Points run in order: the ``engines × backends`` product, then
+    ``infer_engines``.
     ``use_prelude`` defaults to True for source text (so the shipped
     ``programs/*.bsml`` and the curated corpora just work) and False for
     an AST (generated programs are closed).
     """
     params = params or BspParams(p=4)
-    report = Report(_describe(program), faults=faults)
+    report = Report(_describe(program))
     expr = source = prelude = None
     if isinstance(program, (str, Expr)):
         source = parse_program(program) if isinstance(program, str) else program
@@ -518,11 +425,8 @@ def conform(
             expr = with_prelude(source) if prelude else source
     else:
         engines, infer_engines = (None,), ()
-    for plan in (None, *faults):
-        for engine, backend in itertools.product(engines, backends):
-            report.observations.append(
-                _observe(program, expr, params, backend, engine, plan, policy)
-            )
+    for engine, backend in itertools.product(engines, backends):
+        report.observations.append(_observe(program, expr, params, backend, engine))
     if infer_engines:
         report.env = prelude_env() if prelude else None
         with fresh_names() as rewind:

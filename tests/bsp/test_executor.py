@@ -9,6 +9,7 @@ import pytest
 from repro import perf
 from repro.bsp.executor import (
     BACKENDS,
+    BackendUnavailableError,
     SequentialExecutor,
     ThreadExecutor,
     get_executor,
@@ -89,6 +90,19 @@ class TestThread:
         assert outcomes[0].value == (42, 1.0)
         executor.close()
 
+    def test_unstartable_pool_is_one_line_error(self, monkeypatch):
+        import repro.bsp.executor as executor_mod
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no threads allowed in this sandbox")
+
+        monkeypatch.setattr(executor_mod, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(BackendUnavailableError) as excinfo:
+            ThreadExecutor().run(_tasks(2))
+        message = str(excinfo.value)
+        assert message.startswith("backend 'thread' is unavailable here")
+        assert "valid backends: seq, thread" in message
+
 
 class TestRegistry:
     def test_shared_instances(self):
@@ -112,5 +126,3 @@ class TestRegistry:
     def test_machine_accepts_executor(self):
         machine = BspMachine(BspParams(p=2), executor=get_executor("thread"))
         assert machine.executor.name == "thread"
-        machine.use_backend("seq")
-        assert machine.executor.name == "seq"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bsp import BACKENDS
 from repro.cli import main
 
 
@@ -12,22 +11,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def strip_measured(text):
-    """Remove every measured-wall-clock artifact from a ``--cost`` table:
-    the summary lines, the ``measured ms`` column header and the per-row
-    cells.  What is left is the abstract, backend-independent output."""
-    import re
-
-    lines = []
-    for line in text.splitlines():
-        if "measured compute" in line or "wall" in line:
-            continue
-        line = line.replace("   measured ms", "")
-        line = re.sub(r"(?<=(?: yes|  no))\s{2,}(?:\d+\.\d{3}|-)(?=  )", "", line)
-        lines.append(line)
-    return "\n".join(lines)
 
 
 class TestTypecheck:
@@ -251,141 +234,6 @@ class TestStatsFlag:
         assert "perf stats" not in err
 
 
-class TestBackendFlag:
-    PROGRAM = "put (mkpar (fun src -> fun dst -> src * 10 + dst))"
-
-    def test_every_backend_prints_the_same_result(self, capsys):
-        outputs = {}
-        for backend in BACKENDS:
-            code, out, _ = run_cli(
-                capsys,
-                "run",
-                "--backend",
-                backend,
-                "--cost",
-                "-e",
-                self.PROGRAM,
-                "-p",
-                "3",
-            )
-            assert code == 0
-            outputs[backend] = out
-        # Value line and the whole cost table must be reproduced verbatim
-        # by the concurrent backend once the wall-clock artifacts (the
-        # measured ms column and the measured-compute summary) are
-        # stripped — those legitimately vary per backend.
-        assert strip_measured(outputs["thread"]) == strip_measured(outputs["seq"])
-
-    def test_backend_defaults_to_sequential(self, capsys):
-        code, out, _ = run_cli(capsys, "run", "-e", "1 + 2")
-        assert code == 0
-        assert "3" in out
-
-    def test_unknown_backend_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(capsys, "run", "--backend", "gpu", "-e", "1")
-        assert excinfo.value.code == 2
-
-    def test_process_backend_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(capsys, "run", "--backend", "process", "-e", "1")
-        assert excinfo.value.code == 2
-
-
-class TestFaultsFlag:
-    PROGRAM = "bcast 1 (mkpar (fun i -> i * i))"
-
-    @staticmethod
-    def _abstract(out):
-        """Drop measured wall-clock artifacts: only the *abstract* value
-        and cost are promised to be identical under survivable faults."""
-        return strip_measured(out)
-
-    def test_survivable_faults_change_nothing_observable(self, capsys):
-        clean = run_cli(capsys, "run", "-e", self.PROGRAM, "--cost")
-        chaotic = run_cli(
-            capsys,
-            "run",
-            "-e",
-            self.PROGRAM,
-            "--cost",
-            "--faults",
-            "seed=9,crash=0.3,drop=0.2,attempts=6",
-        )
-        assert clean[0] == chaotic[0] == 0
-        # stdout (value + abstract cost table) identical
-        assert self._abstract(clean[1]) == self._abstract(chaotic[1])
-
-    def test_faults_work_on_every_backend(self, capsys):
-        outputs = []
-        for backend in BACKENDS:
-            code, out, _ = run_cli(
-                capsys,
-                "run",
-                "-e",
-                self.PROGRAM,
-                "--cost",
-                "--backend",
-                backend,
-                "--faults",
-                "seed=9,crash=0.3,drop=0.2,attempts=6",
-            )
-            assert code == 0
-            outputs.append(self._abstract(out))
-        assert outputs[0] == outputs[1]
-
-    def test_bad_spec_is_a_one_line_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "-e", "1", "--faults", "crash=lots"
-        )
-        assert code == 1
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
-    def test_unknown_spec_key_names_the_valid_keys(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "-e", "1", "--faults", "warp=0.5"
-        )
-        assert code == 1
-        assert "warp" in err and "crash" in err
-
-    def test_unsurvivable_plan_is_a_one_line_error(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "run",
-            "-e",
-            self.PROGRAM,
-            "--faults",
-            "seed=1,crash=1.0",
-        )
-        assert code == 1
-        assert err.startswith("error: superstep")
-        assert "rolled back" in err
-        assert "Traceback" not in err
-
-
-class TestBackendErrors:
-    """Satellite: a backend that cannot start must be one clear line."""
-
-    def test_unavailable_backend_is_a_one_line_error(self, capsys, monkeypatch):
-        import repro.bsp.executor as executor_mod
-
-        class _NoPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no threads allowed in this sandbox")
-
-        monkeypatch.delitem(executor_mod._SHARED, "thread", raising=False)
-        monkeypatch.setattr(executor_mod, "ThreadPoolExecutor", _NoPool)
-        code, _, err = run_cli(
-            capsys, "run", "-e", "mkpar (fun i -> i)", "--backend", "thread"
-        )
-        monkeypatch.delitem(executor_mod._SHARED, "thread", raising=False)
-        assert code == 1
-        assert err.startswith("error: backend 'thread' is unavailable")
-        assert "valid backends: seq, thread" in err
-        assert "Traceback" not in err
-
-
 class TestTraceFlag:
     """``--trace FILE`` / ``--trace-format`` on run, and ``profile``."""
 
@@ -470,18 +318,6 @@ class TestProfileSubcommand:
         assert code == 0
         assert "records ->" in err
         assert obs.validate_chrome_trace(target) > 0
-
-    def test_profile_under_faults(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "profile",
-            "-e",
-            "bcast 2 (mkpar (fun i -> i * i))",
-            "--faults",
-            "seed=3,crash=0.2,attempts=5",
-        )
-        assert code == 0
-        assert "trace summary" in out
 
 
 class TestStatsVerboseFlag:

@@ -76,14 +76,6 @@ class TestEnvironmentErrors:
         assert "io error:" in err
         assert "Traceback" not in err
 
-    def test_bad_fault_spec_is_a_clean_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "run", "-e", "1", "--faults", "bogus=0.5"
-        )
-        assert code == 1
-        assert "error:" in err
-        assert "Traceback" not in err
-
 
 class TestRecursionBlowup:
     def test_untyped_infinite_recursion_is_a_clean_error(self, capsys):

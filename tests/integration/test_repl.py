@@ -183,48 +183,6 @@ class TestStats:
         assert not perf.is_collecting()
 
 
-class TestBackendCommand:
-    def test_backend_shows_current_and_available(self):
-        out = drive(":backend")
-        assert "backend: seq" in out
-        assert "(available: seq, thread)" in out
-
-    def test_backend_switch_preserves_session_state(self):
-        out = drive(
-            "let v = mkpar (fun i -> i * i)",
-            ":backend thread",
-            "bcast 3 v",
-            ":backend seq",
-            "bcast 3 v",
-        )
-        assert "backend switched to thread" in out
-        assert "backend switched to seq" in out
-        assert out.count("- : int par = <9, 9, 9, 9>") == 2
-
-    def test_backend_results_match_sequential(self):
-        program = "put (mkpar (fun s -> fun d -> s + d))"
-        expected = drive(program)
-        assert drive(":backend thread", program).endswith(expected)
-
-    def test_unknown_backend_is_reported_not_fatal(self):
-        out = drive(":backend gpu", "1 + 1")
-        assert "error: unknown backend" in out
-        assert "- : int = 2" in out
-
-    def test_process_backend_is_gone(self):
-        out = drive(":backend thread", ":backend process", ":backend", "1 + 1")
-        assert "error: unknown backend 'process'" in out
-        # The session stays on the backend it had before the bad switch.
-        assert "backend: thread" in out
-        assert "- : int = 2" in out
-
-    def test_initial_backend_parameter(self):
-        out = io.StringIO()
-        session = Session(backend="thread")
-        session.handle(":backend", out)
-        assert "backend: thread" in out.getvalue()
-
-
 class TestRemovedEngineCommands:
     @pytest.mark.parametrize(
         "command", [":engine", ":engine tree", ":infer-engine", ":infer-engine w"]
@@ -232,79 +190,6 @@ class TestRemovedEngineCommands:
     def test_is_unknown(self, command):
         out = drive(command, "1 + 1")
         assert f"unknown command {command.split()[0]!r}" in out
-        assert "- : int = 2" in out
-
-
-class TestFaultsCommand:
-    def test_faults_default_off(self):
-        assert "faults: off" in drive(":faults")
-
-    def test_arm_show_disarm(self):
-        out = drive(
-            ":faults seed=3,crash=0.1,attempts=8",
-            ":faults",
-            ":faults off",
-            ":faults",
-        )
-        assert "faults armed:" in out
-        assert "seed=3" in out and "crash=0.1" in out
-        assert "faults disarmed" in out
-        assert out.rstrip().endswith("faults: off")
-
-    def test_bad_spec_is_an_error_line_not_fatal(self):
-        out = drive(":faults crash=lots", "1 + 1")
-        assert "error:" in out
-        assert "- : int = 2" in out  # the session survived
-
-    def test_survivable_faults_leave_results_identical(self):
-        program = "bcast 1 (mkpar (fun i -> i * i))"
-        clean = drive(program)
-        chaotic = drive(":faults seed=9,crash=0.3,drop=0.2,attempts=6", program)
-        assert clean.strip() in chaotic
-
-    def test_unsurvivable_fault_is_one_error_line_then_recovers(self):
-        out = drive(
-            ":faults seed=1,crash=1.0",
-            "mkpar (fun i -> i)",
-            ":faults off",
-            "mkpar (fun i -> i)",
-        )
-        assert "error: superstep compute phase failed" in out
-        assert "rolled back" in out
-        assert "<0, 1, 2, 3>" in out  # works again once disarmed
-
-    def test_reset_rearms_the_session_spec(self):
-        out = drive(":faults seed=5,crash=0.05", ":reset", ":faults")
-        assert "session reset" in out
-        # The spec survives :reset (fresh plan, same seed).
-        assert out.rstrip().endswith("faults: seed=5, crash=0.05; no retry")
-
-    def test_initial_fault_spec_parameter(self):
-        out = io.StringIO()
-        run_repl(
-            input_stream=io.StringIO(":faults\n"),
-            output_stream=out,
-            banner=False,
-            fault_spec="seed=2,timeout=0.1,attempts=3",
-        )
-        text = out.getvalue()
-        assert "faults: seed=2, timeout=0.1" in text
-
-
-class TestBackendErrors:
-    def test_unavailable_backend_restores_previous(self, monkeypatch):
-        import repro.bsp.executor as executor_mod
-
-        class _NoPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("thread creation forbidden")
-
-        monkeypatch.delitem(executor_mod._SHARED, "thread", raising=False)
-        monkeypatch.setattr(executor_mod, "ThreadPoolExecutor", _NoPool)
-        out = drive(":backend thread", ":backend", "1 + 1")
-        monkeypatch.delitem(executor_mod._SHARED, "thread", raising=False)
-        assert "error: backend 'thread' is unavailable" in out
-        assert "backend: seq" in out  # still on the previous backend
         assert "- : int = 2" in out
 
 

@@ -1,18 +1,15 @@
-"""Tracing of the BSP pipeline: superstep phases, tasks, faults,
-retries, rollbacks, backend lifecycle, and the end-to-end run."""
+"""Tracing of the BSP pipeline: superstep phases, tasks, the abstract
+signature, and the end-to-end run."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro import obs, run_program
-from repro.bsp.faults import FaultPlan, RetryPolicy, SuperstepFault
 from repro.bsp.machine import BspMachine
 from repro.bsp.params import BspParams
 
 
-def machine(p=4, **kwargs):
-    return BspMachine(BspParams(p=p), **kwargs)
+def machine(p=4):
+    return BspMachine(BspParams(p=p))
 
 
 def tasks(p=4, ops=1.0):
@@ -28,7 +25,6 @@ class TestSuperstepPhases:
         assert compute.track == obs.MACHINE_TRACK
         assert compute.arg("superstep") == 0
         assert compute.arg("procs") == 4
-        assert compute.arg("attempts") == 1
         task_spans = t.spans("task")
         assert [s.track for s in task_spans] == [
             obs.process_track(i) for i in range(4)
@@ -83,70 +79,6 @@ class TestSuperstepPhases:
         values = m.run_superstep(tasks())
         assert values == [0, 1, 2, 3]
         assert not obs.is_tracing()
-
-
-class TestFaultTracing:
-    # Seed 0 with crash=0.4 deterministically injects one crash on the
-    # first attempt and recovers on the second (see repro.bsp.faults:
-    # draws are machine-side in program order, so this is stable).
-    def test_recovered_retry_emits_fault_retry_and_recovery(self):
-        m = machine(
-            faults=FaultPlan(seed=0, crash=0.4),
-            retry=RetryPolicy(max_attempts=5, base_delay=0.0),
-        )
-        with obs.trace() as t:
-            values = m.run_superstep(tasks())
-        assert values == [0, 1, 2, 3]
-        faults = t.events("fault")
-        assert len(faults) >= 1
-        for fault in faults:
-            proc = fault.arg("proc")
-            assert fault.track == obs.process_track(proc)
-            assert fault.arg("kind") in ("crash", "timeout")
-        (retry,) = t.events("retry")
-        assert retry.arg("attempt") == 2
-        assert retry.arg("phase") == "compute"
-        (recovered,) = t.events("retry.recovered")
-        assert recovered.arg("attempts") == 2
-        (compute,) = t.spans("superstep.compute")
-        assert compute.arg("attempts") == 2
-
-    def test_exhausted_retries_emit_rollback_with_outcomes(self):
-        m = machine(
-            faults=FaultPlan(seed=0, crash=0.9),
-            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
-        )
-        with obs.trace() as t:
-            with pytest.raises(SuperstepFault):
-                m.run_superstep(tasks())
-        (rollback,) = t.events("rollback")
-        assert rollback.track == obs.MACHINE_TRACK
-        assert rollback.arg("phase") == "compute"
-        outcomes = rollback.arg("outcomes")
-        assert "crash" in outcomes
-        # the compute span is still recorded for the failed phase
-        assert len(t.spans("superstep.compute")) == 1
-        # and the machine rolled back: nothing committed
-        assert m.cost().supersteps == []
-
-    def test_message_fault_events_sit_on_senders_track(self):
-        # drop=1.0: every in-flight message is injured on every attempt.
-        m = machine(
-            p=2,
-            faults=FaultPlan(seed=1, drop=1.0),
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-        )
-        with obs.trace() as t:
-            m.run_superstep(tasks(p=2))
-            with pytest.raises(SuperstepFault):
-                m.exchange([[0, 1], [0, 0]], payloads={(0, 1): "m"})
-        drops = [e for e in t.events("fault") if e.arg("kind") == "drop"]
-        assert drops
-        for drop in drops:
-            assert drop.track == obs.process_track(drop.arg("src"))
-            assert drop.arg("dst") == 1
-        (rollback,) = t.events("rollback")
-        assert rollback.arg("phase") == "exchange"
 
 
 class TestAbstractSignature:

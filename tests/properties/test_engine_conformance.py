@@ -2,20 +2,18 @@
 (:mod:`repro.semantics.compiled`, the product evaluator) must observe
 the same values, the same BspCost decomposition and the same abstract
 trace signature as the tree-walking cost oracle — on generated programs
-(uniform and pid-divergent) and on the whole shipped corpus under armed
-chaos plans.  The unsafe corpus and the per-pid partial-failure programs
+(uniform and pid-divergent) and on the whole shipped corpus.  The
+unsafe corpus and the per-pid partial-failure programs
 must fail identically (same error type, same message) on both engines.
-The clean product over the same generated programs and corpus is
-``test_backend_conformance.py``."""
+The backend-focused product over the same generated programs and corpus
+is ``test_backend_conformance.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bsp.faults import FaultPlan
 from repro.bsp.params import BspParams
 from repro.testing import (
-    DEFAULT_CHAOS_RATES,
     ProgramGenerator,
     conform,
     conformance_corpus,
@@ -23,10 +21,6 @@ from repro.testing import (
 )
 
 PARAMS = BspParams(p=4, g=2.0, l=50.0)
-
-
-def _plan(seed):
-    return FaultPlan(seed=seed, **DEFAULT_CHAOS_RATES)
 
 
 def _generated(seed):
@@ -44,18 +38,10 @@ def _divergent(seed):
 
 @pytest.mark.parametrize("seed", range(200))
 def test_generated_program_engines_agree(seed):
-    """≥200 random well-typed programs under a seeded default-rate fault
-    plan: on both engines the plan either is invisible (value and
-    BspCost of the clean run, identical fault-and-retry traces) or fails
-    every point with the same atomic SuperstepFault."""
+    """≥200 random well-typed programs: both engines observe the same
+    value, BspCost and trace signature, or fail with the same error."""
     try:
-        conform(
-            _generated(seed),
-            params=PARAMS,
-            backends=("seq",),
-            faults=[_plan(seed)],
-            infer_engines=(),
-        )
+        conform(_generated(seed), params=PARAMS, backends=("seq",), infer_engines=())
     except AssertionError as error:  # pragma: no cover - diagnostic path
         raise AssertionError(f"seed {seed}: {error}") from error
 
@@ -88,14 +74,12 @@ CORPUS = conformance_corpus()
 
 
 @pytest.mark.parametrize(
-    "index,source",
-    list(enumerate(source for _, source in CORPUS)),
-    ids=[name for name, _ in CORPUS],
+    "source", [source for _, source in CORPUS], ids=[name for name, _ in CORPUS]
 )
-def test_corpus_program_engines_agree(index, source):
-    """The curated corpora and every shipped programs/*.bsml file under a
-    seeded default-rate fault plan, on every engine and backend."""
-    conform(source, params=PARAMS, faults=[_plan(index)], infer_engines=())
+def test_corpus_program_engines_agree(source):
+    """The curated corpora and every shipped programs/*.bsml file, on
+    every engine and backend."""
+    conform(source, params=PARAMS, infer_engines=())
 
 
 @pytest.mark.parametrize(
@@ -127,20 +111,3 @@ def test_unsafe_corpus_exercises_runtime_errors():
     ]
     nesting = [error for error in errors if error and "DynamicNesting" in error]
     assert len(nesting) >= 4, errors
-
-
-CHAOS_PROGRAMS = (
-    "bcast 2 (mkpar (fun i -> i * i))",
-    "scan (fun a -> fun b -> a + b) (mkpar (fun i -> i + 1))",
-    "put (mkpar (fun src -> fun dst -> if dst = src then nc () else src))",
-)
-
-
-@pytest.mark.parametrize("seed", (0, 7))
-@pytest.mark.parametrize("source", CHAOS_PROGRAMS)
-def test_chaos_engines_agree(source, seed):
-    """The same seeded fault plan is observationally identical whichever
-    engine evaluates the program: values, costs, errors and trace
-    signatures (fault and retry events included) match at every armed
-    point of the engine × backend product."""
-    conform(source, params=PARAMS, faults=[_plan(seed)])

@@ -80,11 +80,11 @@ class TestMetricsEndpoint:
         ):
             assert name in families, f"family {name} missing from exposition"
 
-    def test_latency_carries_route_backend_cache(self, server):
+    def test_latency_carries_route_cache(self, server):
         program = "bcast 0 (mkpar (fun i -> i + 1))"
-        status, _ = post_json(server.port, "/v1/run", {"program": program, "backend": "seq"})
+        status, _ = post_json(server.port, "/v1/run", {"program": program})
         assert status == 200
-        status, _ = post_json(server.port, "/v1/run", {"program": program, "backend": "seq"})
+        status, _ = post_json(server.port, "/v1/run", {"program": program})
         assert status == 200  # replay: cache hit
         _, body, _ = fetch_metrics(server.port)
         families = parse_prometheus(body)
@@ -95,7 +95,7 @@ class TestMetricsEndpoint:
         }
         for cache in ("miss", "hit"):
             key = tuple(
-                sorted({"route": "/v1/run", "backend": "seq", "cache": cache}.items())
+                sorted({"route": "/v1/run", "cache": cache}.items())
             )
             assert counts.get(key, 0) >= 1, cache
 
@@ -127,23 +127,6 @@ class TestMetricsEndpoint:
         finally:
             conn.close()
         assert metrics.SESSIONS.value() == 0
-
-    def test_unknown_backend_label_bucketed_as_other(self, server):
-        # An invalid backend is rejected, but its latency sample must
-        # not mint a new label value from attacker-controlled input.
-        status, _ = post_json(
-            server.port, "/v1/run", {"program": "1", "backend": "zzz-evil"}
-        )
-        assert status == 400
-        _, body, _ = fetch_metrics(server.port)
-        families = parse_prometheus(body)
-        backends = {
-            labels["backend"]
-            for name, labels, _ in families["repro_request_seconds"]["samples"]
-            if name.endswith("_count")
-        }
-        assert "zzz-evil" not in backends
-        assert "other" in backends
 
     def test_metrics_can_be_disabled_by_config(self):
         metrics.global_registry().reset()
@@ -232,7 +215,7 @@ class TestConcurrentAggregationAndIsolation:
 
         before = sum(
             metrics.REQUEST_SECONDS.count(
-                route="/v1/typecheck", backend="-", cache=c
+                route="/v1/typecheck", cache=c
             )
             for c in ("hit", "miss", "-")
         )
@@ -244,7 +227,7 @@ class TestConcurrentAggregationAndIsolation:
             thread.join(timeout=60)
         after = sum(
             metrics.REQUEST_SECONDS.count(
-                route="/v1/typecheck", backend="-", cache=c
+                route="/v1/typecheck", cache=c
             )
             for c in ("hit", "miss", "-")
         )

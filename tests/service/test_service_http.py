@@ -186,16 +186,6 @@ class TestErrorMapping:
             assert status == 400, bad
             assert body["error"]["kind"] == "bad-request", bad
 
-    def test_bad_backend_is_400(self, client):
-        for bad in (5, None, ["seq"], "process"):
-            for route in ("/v1/run", "/v1/typecheck"):
-                status, body, _ = client.request(
-                    "POST", route, {"program": "1 + 1", "backend": bad}
-                )
-                assert status == 400, (route, bad)
-                assert body["error"]["kind"] == "bad-request", (route, bad)
-                assert "choose from seq, thread" in body["error"]["message"]
-
     def test_malformed_json_is_400(self, client):
         conn = client.connect()
         try:
@@ -213,23 +203,35 @@ class TestErrorMapping:
             data = sock.recv(4096)
         assert b"400" in data.split(b"\r\n", 1)[0]
 
-    def test_fatal_fault_plan_is_422(self, client):
-        status, body, _ = client.request(
-            "POST",
-            "/v1/run",
-            {
-                "program": "bcast 2 (mkpar (fun i -> i * i))",
-                "faults": "seed=1,crash=0.95",
-            },
-        )
-        assert status == 422
-        assert body["error"]["kind"] == "fault"
+    @pytest.mark.parametrize(
+        "extras",
+        [
+            [{"backend": bad} for bad in (5, None, ["seq"], "process", "zzz")],
+            [{"faults": "bogus=1"}],
+            [{"faults": "seed=1,crash=0.95"}],
+            [{"backend": "zzz", "faults": "bogus"}],
+        ],
+        ids=["bad-backend", "bad-fault-spec", "fatal-fault-plan", "both"],
+    )
+    @pytest.mark.parametrize("route", ["/v1/typecheck", "/v1/run"])
+    def test_retired_run_fields_are_ignored(self, client, route, extras):
+        """``backend`` and ``faults`` no longer select anything: a body
+        naming them gets the bytes of the same body without them."""
 
-    def test_bad_fault_spec_is_400(self, client):
-        status, body, _ = client.request(
-            "POST", "/v1/run", {"program": "1", "faults": "bogus=1"}
-        )
-        assert status == 400
+        def post(payload):
+            conn = client.connect()
+            try:
+                conn.request("POST", route, body=json.dumps(payload))
+                response = conn.getresponse()
+                return response.status, response.read()
+            finally:
+                conn.close()
+
+        plain = {"program": "bcast 2 (mkpar (fun i -> i * i))", "p": 3}
+        status, body = post(plain)
+        assert status == 200, body
+        for extra in extras:
+            assert post({**plain, **extra}) == (200, body), extra
 
 
 class TestSessions:

@@ -7,7 +7,6 @@ import itertools
 import pytest
 
 from repro.bsp.cost import BspCost, SuperstepCost
-from repro.bsp.faults import FaultPlan, RetryPolicy
 from repro.bsp.params import BspParams
 from repro.core import types as core_types
 from repro.lang.parser import parse_program
@@ -31,7 +30,7 @@ class TestRunDifferential:
         assert report.reference.point == "tree/seq"
         assert report.reference.value_repr == "VParVec(items=(0, 0, 0, 0))"
         assert report.reference.fingerprint == "<0, 0, 0, 0>"
-        assert all(point.cost == report.reference.cost for point in report.clean)
+        assert all(point.cost == report.reference.cost for point in report.evaluations)
         assert str(report.typing[0].conclusion) == "int par"
 
     def test_ast_program_conforms(self):
@@ -55,7 +54,7 @@ class TestRunDifferential:
         report = conform("1 + true", use_prelude=False)
         assert report.conforms
         assert not report.succeeded
-        assert all(point.error == report.reference.error for point in report.clean)
+        assert all(point.error == report.reference.error for point in report.evaluations)
         assert all(point.error.startswith("UnificationError") for point in report.typing)
 
     def test_backend_subset(self):
@@ -129,23 +128,6 @@ class TestVerdicts:
     def test_explain_mentions_program(self):
         report = Report("'my program'", [_ok("tree", "seq")])
         assert "'my program'" in report.explain()
-
-    def test_armed_points_all_fault_or_all_complete(self):
-        plan = FaultPlan(seed=0, crash=1.0)
-        clean = _ok("tree", "seq")
-        survived = _ok("tree", "seq")
-        survived.plan = plan
-        faulted = Observation(
-            backend="thread", engine="tree", plan=plan,
-            error="SuperstepFault: boom", faulted=True, state_restored=True,
-        )
-        report = Report("'demo'", [clean, survived, faulted], faults=[plan])
-        assert "@ plan seed=0, crash=1.0: error:" in report.divergence()
-        survived.error, survived.faulted = faulted.error, True
-        survived.state_restored = False
-        assert "state_restored" in report.divergence()
-        survived.state_restored = True
-        assert report.conforms
 
     def test_typing_divergence_names_the_derivation(self):
         report = conform("let f = fun x -> x in f 1", backends=())
@@ -223,15 +205,3 @@ class TestCorpus:
         assert any(name.endswith(".bsml") for name in names)
         assert len(names) == len(set(names))
         assert len(names) >= 40
-
-
-def test_survivable_plan_is_invisible_at_every_point():
-    report = conform(
-        "bcast 1 (mkpar (fun i -> i * i))",
-        faults=[FaultPlan(seed=seed, crash=0.2, drop=0.1) for seed in range(3)],
-        policy=RetryPolicy(max_attempts=8, base_delay=0.0),
-    )
-    assert len(report.armed) == 3 * len(report.clean)
-    assert report.survivable
-    for point in report.armed:
-        assert point.cost == report.reference.cost
