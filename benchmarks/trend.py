@@ -6,14 +6,15 @@ Run from the repository root::
     python3 benchmarks/trend.py --pr N             # writes BENCH_N.json
     python3 benchmarks/trend.py --diff BENCH_A.json BENCH_B.json
 
-A record runs ``e2ebench/run.py --trace 1`` once for every workload of
-``BENCHMARK.json`` on each of :data:`SEEDS`, for ``run_seconds`` seconds,
-and keeps every metric the run prints: the host-normalised end-to-end
-metrics and the per-layer metrics of the traced replay.  Beside them it
-stores the ``src/`` and ``tests/`` line counts, the number of tier-1
-tests collected and the commit.  ``--diff`` prints each metric's ratio
-B/A; end-to-end metrics are flagged when they get worse by more than
-their ``BENCHMARK.json`` bound.
+A record runs ``e2ebench/run.py --trace 1`` :data:`RUNS` times, round-robin,
+for every workload of ``BENCHMARK.json`` on each of :data:`SEEDS`, for
+``run_seconds`` seconds, and keeps every printed metric (end-to-end and
+per-layer) as the median with its ``[min, max]`` range, beside the
+``src/`` and ``tests/`` line counts, the tier-1 test count and the
+commit.  ``--diff`` prints each median ratio B/A; an end-to-end metric
+whose median is worse than its bound is WORSE when the two ranges are
+disjoint and ``unresolved`` when they overlap (a one-run record has a
+zero-width range).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +31,10 @@ from typing import Callable, Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+BOUNDS = {m["name"]: (m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 SEEDS = (1, 7919)
+#: Runs per workload and seed in one record.
+RUNS = 3
 
 #: A metric line of run.py's report: two spaces, name, value, unit.
 _METRIC = re.compile(r"^  (\S+)\s+(-?[0-9.]+(?:e[-+]?\d+)?)\s+(\S+)$")
@@ -73,11 +78,22 @@ def tier1_collected() -> int:
 
 
 def record(pr: int, seconds: float, run: Callable[[str, int, float], str] = run_e2ebench) -> Dict:
-    runs = {}
-    for workload in (w["name"] for w in SPEC["workloads"]):
-        for seed in SEEDS:
-            runs[f"{workload}/{seed}"] = parse_run(run(workload, seed, seconds))
-    return {"pr": pr, "seconds": seconds, "runs": runs}
+    keys = [(w["name"], seed) for w in SPEC["workloads"] for seed in SEEDS]
+    parsed: Dict[str, List[Dict]] = {f"{w}/{seed}": [] for w, seed in keys}
+    for _ in range(RUNS):
+        for workload, seed in keys:
+            parsed[f"{workload}/{seed}"].append(parse_run(run(workload, seed, seconds)))
+    return {"pr": pr, "seconds": seconds, "runs": {key: summarize(done) for key, done in parsed.items()}}
+
+
+def summarize(done: List[Dict]) -> Dict:
+    """One workload/seed's runs: the verdicts combined, every metric's median and range."""
+    names = [n for n in done[0]["metrics"] if all(n in d["metrics"] for d in done)]
+    values = {n: [d["metrics"][n] for d in done] for n in names}
+    return {"correct": all(d["correct"] for d in done), "attempted": sum(d["attempted"] for d in done),
+            "failed": sum(d["failed"] for d in done), "runs": len(done),
+            "metrics": {n: statistics.median(v) for n, v in values.items()},
+            "range": {n: [min(v), max(v)] for n, v in values.items()}}
 
 
 def annotate(bench: Dict) -> Dict:
@@ -92,21 +108,29 @@ def annotate(bench: Dict) -> Dict:
     return bench
 
 
+def verdict(name: str, old: Dict, new: Dict) -> str:
+    """An end-to-end metric's verdict: within its bound, WORSE, or
+    ``unresolved`` when the median is worse but the ranges overlap."""
+    better, bound = BOUNDS[name]
+    ratio = new["metrics"][name] / old["metrics"][name]
+    if (ratio - 1 if better == "lower" else 1 - ratio) <= bound:
+        return f"within {bound:.2f}"
+    (lo_a, hi_a), (lo_b, hi_b) = (run.get("range", {}).get(name, [run["metrics"][name]] * 2)
+                                  for run in (old, new))
+    return "unresolved" if lo_b <= hi_a and lo_a <= hi_b else f"WORSE than the {bound:.2f} bound"
+
+
 def diff(a: Dict, b: Dict) -> List[str]:
-    """One line per metric present in both records: A, B, B/A and, for
-    end-to-end metrics, whether the change stays within its bound."""
-    bounds = {m["name"]: (m["better"], m["bound"]) for m in SPEC["end_to_end"]}
+    """One line per metric present in both records: A, B, B/A (medians)
+    and, for end-to-end metrics, the :func:`verdict`."""
     rows = [f"{'run':<20} {'metric':<28} {'A':>12} {'B':>12} {'B/A':>7}  verdict"]
     for key in sorted(set(a["runs"]) & set(b["runs"])):
-        old, new = a["runs"][key]["metrics"], b["runs"][key]["metrics"]
-        for name in [n for n in old if n in new]:
-            ratio = new[name] / old[name] if old[name] else float("nan")
-            verdict = ""
-            if name in bounds:
-                better, bound = bounds[name]
-                worse = ratio - 1 if better == "lower" else 1 - ratio
-                verdict = f"WORSE than the {bound:.2f} bound" if worse > bound else f"within {bound:.2f}"
-            rows.append(f"{key:<20} {name:<28} {old[name]:>12.4f} {new[name]:>12.4f} {ratio:>7.3f}  {verdict}")
+        old, new = a["runs"][key], b["runs"][key]
+        for name in [n for n in old["metrics"] if n in new["metrics"]]:
+            x, y = old["metrics"][name], new["metrics"][name]
+            ratio = y / x if x else float("nan")
+            shown = verdict(name, old, new) if name in BOUNDS and x else ""
+            rows.append(f"{key:<20} {name:<28} {x:>12.4f} {y:>12.4f} {ratio:>7.3f}  {shown}")
     for fact in ("src_lines", "tests_lines", "tier1_collected"):
         if fact in a and fact in b:
             rows.append(f"{'repository':<20} {fact:<28} {a[fact]:>12} {b[fact]:>12} {b[fact] / a[fact]:>7.3f}")

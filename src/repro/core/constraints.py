@@ -37,15 +37,14 @@ Bounding matters beyond memory for the caches themselves: cache entries
 hold strong references to the interned key nodes, so a bounded cache is
 also what keeps the weak hash-cons pools from growing without bound over
 a server lifetime.  The caches register themselves with
-:mod:`repro.perf` for hit-rate and eviction reporting (``--stats``), and
-the bound is runtime-resizable (``REPRO_SOLVER_CACHE_SIZE`` or
-:func:`repro.perf.resize_registered`) so the service can size them to
-its memory budget.
+:mod:`repro.perf` for hit-rate and eviction reporting (``--stats``,
+``/v1/stats``, ``/v1/metrics``).  The bound, :data:`SOLVER_CACHE_SIZE`,
+is sized by measured reuse (DESIGN.md §11); tests change it with
+:func:`repro.perf.resize_registered`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple
@@ -53,6 +52,7 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 from repro import obs, perf
 from repro.perf.memo import bounded_memo
 from repro.core.types import (
+    NO_VARS,
     TArrow,
     TBase,
     TPair,
@@ -63,12 +63,14 @@ from repro.core.types import (
     TVar,
     Type,
     _InternMeta,
+    union_vars,
 )
 
-#: Default bound on each solver-layer memoization cache (entries, not
-#: bytes); override with ``REPRO_SOLVER_CACHE_SIZE`` before import, or
-#: resize the registered caches at runtime (``perf.resize_registered``).
-SOLVER_CACHE_SIZE = int(os.environ.get("REPRO_SOLVER_CACHE_SIZE", "65536"))
+#: Bound on each solver-layer memoization cache (entries, not bytes):
+#: the smallest power of two whose hit ratios stay within 0.002 of a
+#: 65536-entry cache on both e2ebench workloads and on >= 1,500-node
+#: programs (the reuse table in DESIGN.md §11).
+SOLVER_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +81,10 @@ class Constraint(metaclass=_InternMeta):
     coincides with structural equality because every construction path
     yields the pooled representative (see :class:`_InternMeta`).
     """
+
+    #: The node's atoms (not a field: set by :func:`constraint_atoms`
+    #: on first use, invisible to equality, hashing and ``repr``).
+    _atoms = None
 
     def __str__(self) -> str:
         return render_constraint(self)
@@ -246,19 +252,28 @@ def basic_constraint(ty: Type) -> Constraint:
 
 
 def constraint_atoms(constraint: Constraint) -> FrozenSet[str]:
-    """Names of the type variables whose locality the constraint mentions."""
-    if isinstance(constraint, CLoc):
-        return frozenset((constraint.var,))
-    if isinstance(constraint, CAnd):
-        result: FrozenSet[str] = frozenset()
-        for part in constraint.conjuncts:
-            result |= constraint_atoms(part)
-        return result
-    if isinstance(constraint, CImp):
-        return constraint_atoms(constraint.antecedent) | constraint_atoms(
-            constraint.consequent
-        )
-    return frozenset()
+    """Names of the type variables whose locality the constraint mentions.
+
+    Computed once per interned node from its parts' sets and stored on
+    the node, like :func:`repro.core.types.free_type_vars`.
+    """
+    atoms = constraint._atoms
+    if atoms is None:
+        if isinstance(constraint, CLoc):
+            atoms = frozenset((constraint.var,))
+        elif isinstance(constraint, CAnd):
+            atoms = union_vars(map(constraint_atoms, constraint.conjuncts))
+        elif isinstance(constraint, CImp):
+            atoms = union_vars(
+                (
+                    constraint_atoms(constraint.antecedent),
+                    constraint_atoms(constraint.consequent),
+                )
+            )
+        else:
+            atoms = NO_VARS
+        object.__setattr__(constraint, "_atoms", atoms)
+    return atoms
 
 
 #: Alias: the free variables of a constraint are exactly its atoms' names.

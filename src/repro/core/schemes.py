@@ -46,6 +46,7 @@ from repro.core.types import (
     fresh_tvar,
     free_type_vars,
     render_type,
+    union_vars,
     _variable_display_names,
 )
 
@@ -69,8 +70,11 @@ class ConstrainedType:
     constraint: Constraint = TRUE
 
     def free_vars(self) -> FrozenSet[str]:
-        """``F([tau/C]) = F(tau) u F(C)``."""
-        return free_type_vars(self.type) | constraint_atoms(self.constraint)
+        """``F([tau/C]) = F(tau) u F(C)``, from the sets stored on the
+        interned nodes."""
+        return union_vars(
+            (free_type_vars(self.type), constraint_atoms(self.constraint))
+        )
 
     def __str__(self) -> str:
         names = _variable_display_names(self.type)
@@ -394,10 +398,10 @@ class TypeEnv:
         return frozenset(self._bindings)
 
     def free_vars(self) -> FrozenSet[str]:
-        result: FrozenSet[str] = frozenset()
-        for scheme in self._bindings.values():
-            result |= scheme.free_vars()
-        return result
+        """``F(E)``.  Closed schemes contribute nothing, so only the
+        :meth:`open_names` bindings are visited."""
+        bindings = self._bindings
+        return union_vars(bindings[name].free_vars() for name in self.open_names())
 
     def apply(self, subst: Subst) -> "TypeEnv":
         return TypeEnv(

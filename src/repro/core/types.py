@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
 from weakref import KeyedRef, WeakValueDictionary
 
 
@@ -122,6 +122,11 @@ class Type(metaclass=_InternMeta):
     are identity-based, which coincides with structural equality because
     every construction path yields the pooled representative.
     """
+
+    #: The node's free variables (not a field: set by
+    #: :func:`free_type_vars` on first use, invisible to equality,
+    #: hashing and ``repr``).
+    _fv = None
 
     def children(self) -> Tuple["Type", ...]:
         return ()
@@ -258,17 +263,50 @@ def arrow(*types: Type) -> Type:
     return result
 
 
+#: The free variables of every ground node: one shared empty set.
+NO_VARS: FrozenSet[str] = frozenset()
+
+
+def union_vars(sets: Iterable[FrozenSet[str]]) -> FrozenSet[str]:
+    """The union of ``sets``, sharing an operand when it is the whole
+    union (a single non-empty set, or none: :data:`NO_VARS`)."""
+    result = NO_VARS
+    for names in sets:
+        if not names or names is result:
+            continue
+        result = names if not result else result | names
+    return result
+
+
 def free_type_vars(ty: Type) -> FrozenSet[str]:
-    """Names of the type variables occurring in ``ty``."""
-    names = set()
+    """Names of the type variables occurring in ``ty``.
+
+    Computed once per interned node from its children's sets and
+    stored on the node, so a repeat costs one attribute read.  The walk
+    is iterative: it visits only the nodes not yet computed, children
+    first.
+    """
+    fv = ty._fv
+    if fv is not None:
+        return fv
     stack = [ty]
     while stack:
-        node = stack.pop()
+        node = stack[-1]
+        if node._fv is not None:
+            stack.pop()
+            continue
         if isinstance(node, TVar):
-            names.add(node.name)
+            fv = frozenset((node.name,))
         else:
-            stack.extend(node.children())
-    return frozenset(names)
+            children = node.children()
+            pending = [child for child in children if child._fv is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            fv = union_vars(child._fv for child in children)
+        object.__setattr__(node, "_fv", fv)
+        stack.pop()
+    return ty._fv
 
 
 def apply_type_subst(mapping: Dict[str, Type], ty: Type) -> Type:

@@ -162,8 +162,6 @@ class UnionFind:
         "_memo_version",
         "_frozen_types",
         "_frozen_constraints",
-        "_type_fv_memo",
-        "_atom_memo",
         "_scheme_fv_memo",
     )
 
@@ -178,8 +176,6 @@ class UnionFind:
         self._memo_version = 0
         self._frozen_types: Dict[Type, Type] = {}
         self._frozen_constraints: Dict[Constraint, Constraint] = {}
-        self._type_fv_memo: Dict[Type, FrozenSet[str]] = {}
-        self._atom_memo: Dict[Constraint, FrozenSet[str]] = {}
         self._scheme_fv_memo: Dict[TypeScheme, FrozenSet[str]] = {}
 
     # -- representatives ---------------------------------------------------
@@ -337,7 +333,14 @@ class UnionFind:
 
     def _bound_free_vars(self, ct: ConstrainedType) -> List[str]:
         link = self.link
-        return [name for name in self.ct_free_vars(ct) if name in link]
+        type_vars = free_type_vars(ct.type)
+        bound = [name for name in type_vars if name in link]
+        atoms = constraint_atoms(ct.constraint)
+        if atoms:
+            bound.extend(
+                name for name in atoms if name in link and name not in type_vars
+            )
+        return bound
 
     def _resolve_bound(self, ct: ConstrainedType, bound: List[str]) -> Constraint:
         """Definition 1's constraint for ``ct`` whose free variables
@@ -349,25 +352,6 @@ class UnionFind:
             self._freeze_c(ct.constraint),
             *(basic_constraint(freeze(link[name])) for name in bound),
         )
-
-    # -- syntactic free variables (cached on interned nodes) ---------------
-
-    def type_fv(self, ty: Type) -> FrozenSet[str]:
-        cached = self._type_fv_memo.get(ty)
-        if cached is None:
-            cached = free_type_vars(ty)
-            self._type_fv_memo[ty] = cached
-        return cached
-
-    def atoms(self, constraint: Constraint) -> FrozenSet[str]:
-        cached = self._atom_memo.get(constraint)
-        if cached is None:
-            cached = constraint_atoms(constraint)
-            self._atom_memo[constraint] = cached
-        return cached
-
-    def ct_free_vars(self, ct: ConstrainedType) -> FrozenSet[str]:
-        return self.type_fv(ct.type) | self.atoms(ct.constraint)
 
     # -- resolved environment free variables -------------------------------
 
@@ -396,26 +380,26 @@ class UnionFind:
         link = self.link
         result: Set[str] = set()
         touched: Set[str] = set()
-        for name in self.type_fv(body.type):
+        for name in free_type_vars(body.type):
             if name in quantified:
                 continue
             if name in link:
                 touched.add(name)
-                result |= self.type_fv(self._freeze(link[name]))
+                result |= free_type_vars(self._freeze(link[name]))
             else:
                 result.add(name)
-        for name in self.atoms(body.constraint):
+        for name in constraint_atoms(body.constraint):
             if name in quantified:
                 continue
             if name in link:
                 touched.add(name)
-                result |= self.atoms(locality(self._freeze(link[name])))
+                result |= constraint_atoms(locality(self._freeze(link[name])))
             else:
                 result.add(name)
         # Definition 1's extras: the touched variables' images conjoin
         # their basic constraints into the applied scheme's body.
         for name in touched:
-            result |= self.atoms(basic_constraint(self._freeze(link[name])))
+            result |= constraint_atoms(basic_constraint(self._freeze(link[name])))
         return frozenset(result)
 
     def env_free_vars(self, env: TypeEnv) -> FrozenSet[str]:
@@ -559,7 +543,7 @@ class UFInferencer:
             # level each as it is drawn.
             return instantiate(scheme, self.fresh)
         ct = instantiate(scheme, self.draw)
-        self.uf.note_vars(self.uf.ct_free_vars(ct))
+        self.uf.note_vars(ct.free_vars())
         return ct
 
     def _check(
@@ -595,7 +579,7 @@ class UFInferencer:
         quantified = tuple(
             sorted(
                 name
-                for name in self.uf.type_fv(ct.type)
+                for name in free_type_vars(ct.type)
                 if level.get(name, 0) > entry_level
             )
         )
@@ -676,7 +660,7 @@ class UFInferencer:
     def _infer_annot(self, env: TypeEnv, expr: Annot):
         inner_ct, inner_d = self.infer(env, expr.expr)
         annotation = type_expr_to_type(expr.annotation, fresh=self.draw)
-        self.uf.note_vars(self.uf.type_fv(annotation))
+        self.uf.note_vars(free_type_vars(annotation))
         self._unify(inner_ct.type, annotation, expr)
         inner_ct = self._resolve(inner_ct)
         ct = ConstrainedType(

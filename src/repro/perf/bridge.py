@@ -10,11 +10,9 @@ is registered as a collector with the global
 :class:`~repro.obs.metrics.MetricsRegistry` when metrics are enabled, so
 each ``/v1/metrics`` render reads the current counts directly.
 
-Cache hit/miss totals are exposed as counters (the underlying numbers
-are monotone over the life of the process, modulo explicit
-``clear_caches()`` in benchmarks — a scrape after that legitimately
-shows a reset, which Prometheus-style consumers already handle) and
-sizes as gauges.
+Cache hit/miss/eviction totals are exposed as counters (a
+:class:`~repro.perf.memo.BoundedMemo` keeps them monotone over the life
+of the process, across ``clear_caches()`` too) and sizes as gauges.
 """
 
 from __future__ import annotations

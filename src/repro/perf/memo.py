@@ -1,38 +1,43 @@
 """Bounded, eviction-counting memoization for the solver layer.
 
-``functools.lru_cache`` served the solver caches well for one-shot CLI
-runs, but it has two problems over a *server lifetime*:
+:class:`BoundedMemo` wraps ``functools.lru_cache`` and adds what a
+*server lifetime* needs on top of it:
 
-* its entries hold **strong references to the interned key nodes**, so
-  the weak hash-cons pools of :mod:`repro.core.types` and
-  :mod:`repro.core.constraints` can never reclaim a node once any solver
-  cache has seen it — across millions of served programs the pools grow
-  without bound, bounded only by the product of every cache's maxsize;
-* its evictions are **invisible**: ``cache_info()`` exposes hits and
-  misses but not how many entries were displaced, so a production cache
-  thrashing at its bound looks identical to one comfortably sized.
+* a monotonic ``evictions`` count — ``cache_info()`` exposes hits and
+  misses but not how many entries were displaced, so a cache thrashing
+  at its bound would look identical to one comfortably sized;
+* a bound that can be changed after import (:meth:`BoundedMemo.resize`,
+  :func:`resize_registered`; tests use it to force evictions);
+* hit and miss counts that survive :meth:`BoundedMemo.cache_clear`,
+  so :class:`repro.perf.counters.CacheReport` deltas and the
+  ``/v1/metrics`` counters stay monotone.
 
-:class:`BoundedMemo` is a drop-in replacement with the same observable
-surface (``cache_info()``, ``cache_clear()``, registration with
-:func:`repro.perf.register_cache`) plus:
+The bound matters beyond the cache's own memory: entries hold strong
+references to interned key and value nodes, so the bound is also what
+keeps the weak hash-cons pools of :mod:`repro.core.types` from growing
+without limit over a stream of distinct programs.
 
-* an explicit, *runtime-resizable* LRU bound (:meth:`BoundedMemo.resize`
-  — the service sizes the solver caches to its memory budget at boot);
-* a monotonic ``evictions`` counter, reported as a delta by
-  :class:`repro.perf.counters.CacheReport` and incremented under the
-  ``cache.evict.<name>`` perf counter while a collection window is open.
+A call is the ``lru_cache`` call: a hit takes no Python-level lock and
+does no Python-level reordering, and the wrapped function runs outside
+any lock (so recursive memoized functions like ``locality`` cannot
+deadlock).  A value computed twice under a race is stored once —
+harmless, because every memoized function here is pure over immutable
+interned nodes.
 
-Thread-safety follows ``lru_cache``'s discipline: lookups and inserts
-take a short lock, the wrapped function runs **outside** the lock (so
-recursive memoized functions like ``locality`` cannot deadlock), and a
-value computed twice under a race is inserted once — harmless, because
-every memoized function here is pure over immutable interned nodes.
+The eviction count is derived, not counted per eviction: every miss
+stores one entry and only an eviction removes one, so a cache has
+evicted ``misses - currsize`` entries since it was built.  That is
+exact whenever no call is in flight.  A miss still computing, or one
+whose result was not stored (the function raised, or a racing thread
+stored the key first), reads as evicted too, so a reader on another
+thread can see the count run ahead by the misses in flight; the
+reported value is the largest one read so far, so it never goes down.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.perf import counters
@@ -54,12 +59,12 @@ class BoundedMemo:
         "__wrapped__",
         "__name__",
         "name",
-        "_maxsize",
-        "_data",
+        "_cached",
         "_lock",
         "_hits",
         "_misses",
-        "evictions",
+        "_evicted",
+        "_reported",
     )
 
     def __init__(
@@ -70,57 +75,68 @@ class BoundedMemo:
         self.__wrapped__ = fn
         self.__name__ = getattr(fn, "__name__", "memoized")
         self.name = name or self.__name__
-        self._maxsize = maxsize
-        self._data: "OrderedDict[Any, Any]" = OrderedDict()
+        self._cached = lru_cache(maxsize)(fn)
+        #: Serializes replacing ``_cached`` against the readers of the
+        #: totals below; calls never take it.
         self._lock = threading.Lock()
+        # Totals of the caches ``_cached`` replaced, and the largest
+        # eviction count read so far.
         self._hits = 0
         self._misses = 0
-        self.evictions = 0
+        self._evicted = 0
+        self._reported = 0
 
     @property
     def __doc__(self):  # pragma: no cover - introspection nicety
         return self.__wrapped__.__doc__
 
     def __call__(self, *args: Any) -> Any:
-        key = args
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self._misses += 1
-            else:
-                self._data.move_to_end(key)
-                self._hits += 1
-                return value
-        value = self.__wrapped__(*args)  # outside the lock: recursion-safe
-        with self._lock:
-            if key not in self._data:
-                self._data[key] = value
-                self._evict_locked()
-        return value
+        return self._cached(*args)
 
-    def _evict_locked(self) -> None:
-        while len(self._data) > self._maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
-            counters.increment(f"cache.evict.{self.name}")
+    @property
+    def evictions(self) -> int:
+        """Entries displaced by the LRU bound over the memo's lifetime."""
+        with self._lock:
+            info = self._cached.cache_info()
+            self._reported = max(
+                self._reported, self._evicted + info.misses - info.currsize
+            )
+            return self._reported
 
     def cache_info(self) -> CacheInfo:
         with self._lock:
-            return CacheInfo(self._hits, self._misses, self._maxsize, len(self._data))
+            info = self._cached.cache_info()
+            return CacheInfo(
+                self._hits + info.hits,
+                self._misses + info.misses,
+                info.maxsize,
+                info.currsize,
+            )
+
+    def _replace(self, maxsize: Optional[int] = None) -> None:
+        """Swap in an empty cache of ``maxsize`` (default: the current
+        bound), folding the old one's counts into the totals.  The old
+        cache is dropped, not cleared in place: clearing would zero its
+        counts under a concurrent reader."""
+        with self._lock:
+            info = self._cached.cache_info()
+            if maxsize is None:
+                maxsize = info.maxsize
+            self._hits += info.hits
+            self._misses += info.misses
+            self._evicted += info.misses - info.currsize
+            self._cached = lru_cache(maxsize)(self.__wrapped__)
 
     def cache_clear(self) -> None:
         """Drop every entry (counters, including evictions, are kept)."""
-        with self._lock:
-            self._data.clear()
+        self._replace()
 
     def resize(self, maxsize: int) -> None:
-        """Change the bound; a shrink evicts least-recently-used entries."""
+        """Change the bound.  Like :meth:`cache_clear`, this drops every
+        entry without counting it as evicted."""
         if maxsize < 1:
             raise ValueError(f"BoundedMemo needs maxsize >= 1, got {maxsize}")
-        with self._lock:
-            self._maxsize = maxsize
-            self._evict_locked()
+        self._replace(maxsize)
 
     def __repr__(self) -> str:
         info = self.cache_info()
@@ -143,9 +159,8 @@ def bounded_memo(
 
 def resize_registered(maxsize: int, prefix: str = "") -> int:
     """Resize every registered :class:`BoundedMemo` whose name starts
-    with ``prefix`` (all of them by default).  Returns how many caches
-    were resized.  The service calls this at boot to fit the solver
-    caches to its configured memory budget."""
+    with ``prefix`` (all of them by default), dropping their entries.
+    Returns how many caches were resized."""
     resized = 0
     for name, fn in counters.registered_caches().items():
         if isinstance(fn, BoundedMemo) and name.startswith(prefix):

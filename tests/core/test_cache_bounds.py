@@ -1,14 +1,19 @@
 """Regression: hash-cons pools stay bounded over a server lifetime.
 
 The weak intern pools of :mod:`repro.core.types` only reclaim a node
-once *nothing* references it — and with ``functools.lru_cache`` on the
-solver functions, cache entries held strong references to every key
-node ever solved, so serving a stream of distinct programs grew the
-pools without bound.  The :class:`repro.perf.memo.BoundedMemo` caches
-evict, releasing their key references; these tests run 1k distinct
-programs through inference with deliberately small caches and assert
-the pools stay bounded, evictions are counted, and hash-consing
-identity still holds for live nodes afterwards.
+once *nothing* references it, and every solver-memo entry holds strong
+references to its key and value nodes.  Inference draws fresh type
+variables per request, so most memo keys are never seen again after
+their request: a memo bound far above the reuse the workload has keeps
+dead nodes alive and the pools grow with every distinct program served.
+
+These tests run distinct programs through inference with deliberately
+small caches and assert the pools stay bounded, evictions are counted,
+and hash-consing identity still holds for live nodes afterwards.  At the
+default bound (:data:`repro.core.constraints.SOLVER_CACHE_SIZE`) they
+serve 2,000 distinct cold typechecks through :class:`ServiceCore` and
+assert the pools stop growing, and that the bound costs no measurable
+memo reuse against a 65,536-entry cache.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from repro import perf
 from repro.core.constraints import SOLVER_CACHE_SIZE
 from repro.core.infer import infer
 from repro.core.types import BOOL, INT, TArrow, intern_pool_stats
+from repro.lang import pretty
 from repro.lang.parser import parse_program
+from repro.service.handlers import RequestError, ServiceConfig, ServiceCore
+from repro.testing.generators import ProgramGenerator
 
 SMALL_CACHE = 128
 PROGRAMS = 1000
@@ -102,3 +110,96 @@ def test_eviction_counters_surface_in_cache_reports(small_solver_caches):
     )
     rendered = stats.render()
     assert "evicted" in rendered
+
+
+# -- the default bound over a request stream ----------------------------------
+
+#: Requests served by the pool-growth regression, and the request whose
+#: pool total is the baseline.
+REQUESTS = 2000
+BASELINE_AT = 500
+#: Live nodes the pools may still gain between the baseline and the end
+#: at the default bound: the memos that had not filled by the baseline
+#: (``simplify`` and ``is_satisfiable`` fill slowest) pin a few hundred
+#: more nodes before they saturate.  At a 65,536 bound the pools gain
+#: about 20 nodes per request, ~30,000 over the same stretch.
+POOL_SLACK = 1500
+#: The largest drop in a memo's hit ratio the default bound may cost
+#: against a 65,536-entry cache on the same requests.
+HIT_RATIO_TOLERANCE = 0.002
+
+
+def _cold_templates():
+    """Generated programs and one let-chain: the ``typecheck_cold`` mix
+    in small."""
+    templates = [
+        pretty(ProgramGenerator(seed=seed, p_hint=4).expression(4)) for seed in range(24)
+    ]
+    chain = [f"let x{j} = (fun y -> y * {j}) x{j - 1} in" for j in range(1, 30)]
+    templates.append("\n".join(["let x0 = 1 in", *chain, "x29"]))
+    return templates
+
+
+def _serve_cold(core, templates, start, stop):
+    """Typecheck requests ``start..stop-1``: a fresh digest per request
+    (the ``nonce`` binding), templates in rotation."""
+    for i in range(start, stop):
+        source = f"let nonce = {i} ;;\n{templates[i % len(templates)]}"
+        try:
+            core.handle_typecheck({"program": source})
+        except RequestError:
+            pass  # rejected programs still run inference
+
+
+def _at_bound(bound):
+    perf.resize_registered(bound, prefix="constraints.")
+    perf.clear_caches()
+
+
+@pytest.fixture
+def default_solver_caches():
+    _at_bound(SOLVER_CACHE_SIZE)
+    yield
+    _at_bound(SOLVER_CACHE_SIZE)
+
+
+def _live_nodes():
+    gc.collect()
+    return sum(intern_pool_stats().values())
+
+
+def test_pools_stop_growing_at_the_default_bound(default_solver_caches):
+    core = ServiceCore(ServiceConfig(metrics=False, trace_summaries=False))
+    templates = _cold_templates()
+    _serve_cold(core, templates, 0, BASELINE_AT)
+    baseline = _live_nodes()
+    _serve_cold(core, templates, BASELINE_AT, REQUESTS)
+    final = _live_nodes()
+    for name, fn in perf.registered_caches().items():
+        info = fn.cache_info()
+        assert info.maxsize == SOLVER_CACHE_SIZE, name
+        assert info.currsize <= SOLVER_CACHE_SIZE, (name, info)
+    assert final - baseline <= POOL_SLACK, (
+        f"live intern-pool nodes grew {baseline} -> {final} between requests "
+        f"{BASELINE_AT} and {REQUESTS}: {intern_pool_stats()}"
+    )
+
+
+def _hit_ratios(bound, templates):
+    _at_bound(bound)
+    core = ServiceCore(ServiceConfig(metrics=False, trace_summaries=False))
+    with perf.collect() as stats:
+        _serve_cold(core, templates, 0, 600)
+    return {r.name: r.hit_rate for r in stats.cache_reports() if r.calls}
+
+
+def test_default_bound_keeps_the_hit_ratios_of_a_large_cache(default_solver_caches):
+    templates = _cold_templates()
+    # Warm the process-lifetime state (the prelude environment) outside
+    # the measured passes, so both passes do the same work.
+    _serve_cold(ServiceCore(ServiceConfig(metrics=False)), templates, 0, 1)
+    large = _hit_ratios(65536, templates)
+    default = _hit_ratios(SOLVER_CACHE_SIZE, templates)
+    assert set(default) == set(large) and "constraints.locality" in large
+    for name, ratio in large.items():
+        assert abs(default[name] - ratio) <= HIT_RATIO_TOLERANCE, (name, default[name], ratio)

@@ -194,6 +194,22 @@ class TestSubstitution:
         assert subst_constraint({"a": INT}, constraint) == CLoc("b")
 
 
+class TestAtoms:
+    def test_atoms_of_each_node_kind(self):
+        assert constraint_atoms(TRUE) == constraint_atoms(FALSE) == frozenset()
+        assert constraint_atoms(CLoc("atm1")) == {"atm1"}
+        mixed = conj(CLoc("atm1"), imp(CLoc("atm2"), conj(CLoc("atm3"), FALSE)))
+        assert constraint_atoms(mixed) == {"atm1", "atm2"}
+
+    def test_atoms_are_stored_on_the_node_and_shared(self):
+        node = conj(CLoc("atm4"), imp(CLoc("atm5"), CLoc("atm4")))
+        atoms = constraint_atoms(node)
+        assert atoms == {"atm4", "atm5"}
+        assert constraint_atoms(node) is atoms
+        assert constraint_atoms(imp(CLoc("atm6"), FALSE)) is constraint_atoms(CLoc("atm6"))
+        assert constraint_atoms(TRUE) is constraint_atoms(FALSE)
+
+
 # -- Horn fast path vs complete branching ------------------------------------
 
 _atoms = st.sampled_from(["a", "b", "c", "d"])

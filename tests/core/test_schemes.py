@@ -177,6 +177,40 @@ class TestTypeEnv:
         env = TypeEnv.empty().extend("x", mono(TVar("a"), CLoc("b")))
         assert env.free_vars() == {"a", "b"}
 
+    @staticmethod
+    def _full_sweep(env):
+        result = frozenset()
+        for _, scheme in env.items():
+            result |= scheme.free_vars()
+        return result
+
+    def test_prelude_free_vars_match_full_sweep(self):
+        from repro.core.prelude_env import prelude_env
+
+        env = prelude_env()
+        assert env.open_names() == ()
+        assert env.free_vars() == self._full_sweep(env) == frozenset()
+
+    def test_open_and_shadowed_free_vars_match_full_sweep(self):
+        from repro.core.prelude_env import prelude_env
+
+        open_scheme = mono(TArrow(TVar("a"), TVar("b")), CLoc("c"))
+        closed = TypeScheme(("a",), ConstrainedType(TVar("a")))
+        envs = [
+            # An open scheme over the prelude, then a closed scheme
+            # shadowing it: "x" stays listed open, contributes nothing.
+            prelude_env().extend("x", open_scheme),
+            prelude_env().extend("x", open_scheme).extend("x", closed),
+            # A closed name shadowed by an open one, and a partly
+            # quantified scheme whose constraint-only atom stays free.
+            prelude_env().extend("y", closed).extend("y", mono(TVar("d"))),
+            TypeEnv({"z": TypeScheme(("a",), ConstrainedType(TVar("a"), CLoc("e")))}),
+            TypeEnv.empty().extend("x", open_scheme).extend("w", mono(TPar(TVar("a")))),
+        ]
+        expected = [{"a", "b", "c"}, set(), {"d"}, {"e"}, {"a", "b", "c"}]
+        for env, names in zip(envs, expected):
+            assert env.free_vars() == self._full_sweep(env) == names
+
     def test_apply_substitution(self):
         env = TypeEnv.empty().extend("x", mono(TVar("a")))
         applied = env.apply(Subst({"a": INT}))

@@ -61,6 +61,24 @@ class TestFreeVars:
         ty = TArrow(TVar("a"), TPair(TVar("b"), TPar(TVar("a"))))
         assert free_type_vars(ty) == {"a", "b"}
 
+    def test_stored_on_the_node_and_shared(self):
+        ty = TArrow(TVar("fv1"), TPair(INT, TPar(TVar("fv1"))))
+        names = free_type_vars(ty)
+        assert free_type_vars(ty) is names
+        # A child whose set is the whole union shares it; ground nodes
+        # share the one empty set.
+        assert free_type_vars(TPar(TVar("fv1"))) is free_type_vars(TVar("fv1"))
+        assert free_type_vars(TPair(INT, BOOL)) is free_type_vars(INT)
+        assert free_type_vars(TTuple((INT, BOOL, TVar("fv2")))) == {"fv2"}
+
+    def test_deep_type_does_not_recurse(self):
+        import sys
+
+        ty = TVar("deep")
+        for index in range(sys.getrecursionlimit() * 2):
+            ty = TArrow(INT, ty) if index % 2 else TPar(ty)
+        assert free_type_vars(ty) == {"deep"}
+
 
 class TestSubstitution:
     def test_hit(self):

@@ -113,6 +113,94 @@ class TestCacheReports:
             stats.hit_rate("no-such-cache")
 
 
+class TestBoundedMemo:
+    """The solver memo's bookkeeping over an ``lru_cache`` core."""
+
+    def test_hits_misses_and_derived_evictions(self):
+        memo = perf.BoundedMemo(lambda x: x * 3, 4, name="test.triple")
+        for key in range(10):
+            assert memo(key) == key * 3
+        memo(9)  # most recent: a hit
+        memo(0)  # evicted long ago: a miss that evicts one more
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 11, 4, 4)
+        assert memo.evictions == 7
+
+    def test_clear_and_resize_keep_counts_and_never_lower_evictions(self):
+        memo = perf.BoundedMemo(lambda x: -x, 2)
+        for key in range(5):
+            memo(key)
+        seen = [memo.evictions]
+        memo.cache_clear()
+        seen.append(memo.evictions)
+        memo.resize(3)
+        seen.append(memo.evictions)
+        for key in range(5):
+            memo(key)
+            seen.append(memo.evictions)
+        assert seen == sorted(seen) and seen[0] == seen[2] == 3 and seen[-1] == 5
+        info = memo.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (10, 3, 3)
+        with pytest.raises(ValueError):
+            memo.resize(0)
+
+    def test_concurrent_calls_keep_counts_exact_and_evictions_monotone(self):
+        import sys
+        import threading
+
+        def depth(n):
+            # Recursive, so misses are in flight on several threads at once.
+            return 0 if n == 0 else 1 + memo(n - 1)
+
+        memo = perf.BoundedMemo(depth, 16)
+        workers, rounds, keys = 8, 300, 40
+        readings, errors = [], []
+        stop = threading.Event()
+
+        def call():
+            try:
+                for r in range(rounds):
+                    key = (r * 7) % keys
+                    assert memo(key) == key
+            except BaseException as error:  # reported below
+                errors.append(error)
+
+        def read():
+            while not stop.is_set():
+                readings.append(memo.evictions)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            threads = [threading.Thread(target=call) for _ in range(workers)]
+            reader.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stop.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not reader.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        assert readings == sorted(readings)
+        info = memo.cache_info()
+        # Every top-level call and every recursive call is one hit or miss.
+        assert info.hits + info.misses >= workers * rounds
+        assert memo.evictions >= info.misses - info.currsize
+        assert info.currsize <= 16
+
+    def test_recursive_function_cannot_deadlock(self):
+        def fib(n):
+            return n if n < 2 else memo(n - 1) + memo(n - 2)
+
+        memo = perf.BoundedMemo(fib, 8)
+        assert memo(60) == 1548008755920
+        assert memo.cache_info().currsize == 8
+
+
 class TestRenderVerbose:
     def test_default_render_hides_zero_call_caches(self):
         import repro.core.constraints  # noqa: F401  (registers on import)
