@@ -1,21 +1,23 @@
-"""Benchmark — the metrics layer's disabled overhead.
+"""Benchmark — the instrumentation channel's disabled overhead.
 
-The metrics registry (``repro.obs.metrics``) aggregates through a
-module-global trace sink, so when metrics are **off** the machine must
-pay nothing beyond the tracer's existing one-truthiness-test guard: no
-sink installed means ``is_tracing()`` is still false and every span site
-short-circuits exactly as before the metrics layer existed.
+Every instrumentation site of the machine reports into one channel
+(``repro.obs.tracer``): trace windows, counting windows (``repro.perf``)
+and the metrics registry's module-global sink all read its record
+stream.  With no window open and metrics **off** (the default state)
+every site must short-circuit on one truthiness test.
 
-The guard holds that promise: a superstep workload with metrics disabled
-(the default state) must cost at most ``MAX_OVERHEAD`` of the same
-workload with the instrumentation sites stubbed out entirely, read as
-the median of per-round paired ratios (see ``ROUNDS``).
+The guard holds that promise: a superstep workload with the channel
+disabled must cost at most ``MAX_OVERHEAD`` of the same workload with
+the channel stubbed out entirely, read as the median of per-round
+paired ratios (see ``ROUNDS``).
 
-A third, informational measurement runs with ``metrics.enable()`` — that
-path pays for record construction plus one histogram update per span
-(it is opt-in precisely because it is not free), so it is reported but
-not guarded, and timed only in every ``ENABLED_EVERY``-th round: it
-costs several guarded rounds' time and no assertion reads it.
+Two informational measurements run with a consumer attached:
+``metrics.enable()`` (record construction plus one histogram update per
+span) and an open trace window (record construction plus one append
+per record).  Both are opt-in precisely because they are not free, so
+they are reported but not guarded, and timed only in every
+``ENABLED_EVERY``-th round: they cost several guarded rounds' time and
+no assertion reads them.
 
 The regenerated table lands in ``benchmarks/results/metrics.txt``.
 """
@@ -49,11 +51,12 @@ REPS = 1000
 #: from different moments, so one burst could move one mode only.
 ROUNDS = 41
 
-#: The informational ``enabled`` mode is timed in rounds 0, 8, 16, ...
-#: only (6 of the 41), beside that round's stubbed time.
+#: The informational ``metered`` and ``traced`` modes are timed in
+#: rounds 0, 8, 16, ... only (6 of the 41), beside that round's stubbed
+#: time.
 ENABLED_EVERY = 8
 
-#: The guard: metrics disabled must cost at most this factor of the
+#: The guard: the disabled channel must cost at most this factor of the
 #: machine with the instrumentation sites removed.
 MAX_OVERHEAD = 1.05
 
@@ -68,7 +71,7 @@ PAYLOADS = {(0, 1): "a", (1, 2): "b", (2, 3): "c", (3, 0): "d"}
 
 
 class _ObsStub:
-    """The tracer's surface with every site compiled down to nothing —
+    """The channel's surface with every site compiled down to nothing —
     the machine as it was before the observability layers existed."""
 
     MACHINE_TRACK = obs.MACHINE_TRACK
@@ -80,6 +83,10 @@ class _ObsStub:
 
     @staticmethod
     def is_tracing():
+        return False
+
+    @staticmethod
+    def window_open():
         return False
 
     @staticmethod
@@ -136,16 +143,21 @@ def _measure_stubbed() -> float:
         return _measure_once()
 
 
-def _measure_enabled() -> float:
+def _measure_metered() -> float:
     with _metrics_on():
         return _measure_once()
 
 
+def _measure_traced() -> float:
+    with obs.trace():
+        return _measure_once()
+
+
 def _measure_paired() -> dict:
-    """Per-mode median time and the median of the per-round ratios
-    ``disabled / stubbed`` and ``enabled / stubbed``."""
-    times = {"stubbed": [], "disabled": [], "enabled": []}
-    ratios = {"disabled": [], "enabled": []}
+    """Per-mode median time and the median of the per-round ratios of
+    each mode to ``stubbed``."""
+    times = {"stubbed": [], "disabled": [], "metered": [], "traced": []}
+    ratios = {"disabled": [], "metered": [], "traced": []}
     for round_ in range(ROUNDS):
         if round_ % 2:
             disabled = _measure_once()
@@ -157,19 +169,24 @@ def _measure_paired() -> dict:
         times["disabled"].append(disabled)
         ratios["disabled"].append(disabled / stubbed)
         if round_ % ENABLED_EVERY == 0:
-            enabled = _measure_enabled()
-            times["enabled"].append(enabled)
-            ratios["enabled"].append(enabled / stubbed)
+            for mode, measure in (
+                ("metered", _measure_metered),
+                ("traced", _measure_traced),
+            ):
+                elapsed = measure()
+                times[mode].append(elapsed)
+                ratios[mode].append(elapsed / stubbed)
     result = {mode: statistics.median(values) for mode, values in times.items()}
-    result["ratio"] = statistics.median(ratios["disabled"])
-    result["enabled_ratio"] = statistics.median(ratios["enabled"])
+    for mode, values in ratios.items():
+        result[f"{mode}_ratio"] = statistics.median(values)
     return result
 
 
-def test_disabled_metrics_are_free(benchmark):
+def test_disabled_channel_is_free(benchmark):
     assert not metrics.is_enabled(), "metrics must start disabled"
+    assert not obs.is_tracing(), "no window or sink may be open"
 
-    # Correctness first: neither the stub nor live metrics changes
+    # Correctness first: neither the stub nor a consumer changes
     # anything observable about the machine itself.
     with _instrumentation_removed():
         stub_machine = BspMachine(PARAMS)
@@ -180,26 +197,30 @@ def test_disabled_metrics_are_free(benchmark):
     metered_machine = BspMachine(PARAMS)
     with _metrics_on():
         metered_values = _drive(metered_machine)
-    assert stub_values == plain_values == metered_values == [0, 1, 4, 9]
+    traced_machine = BspMachine(PARAMS)
+    with obs.trace() as collected:
+        traced_values = _drive(traced_machine)
+    assert stub_values == plain_values == metered_values == traced_values
+    assert stub_values == [0, 1, 4, 9]
     assert stub_machine.cost() == plain_machine.cost() == metered_machine.cost()
-    # and the metered run actually fed the registry
+    assert traced_machine.cost() == plain_machine.cost()
+    # and the metered run fed the registry, the traced run the window
     assert metrics.SUPERSTEPS_TOTAL.value() == REPS
     assert metrics.SUPERSTEP_SECONDS.count(phase="exchange") == REPS
+    assert len(collected.events("superstep")) == REPS
     metrics.global_registry().reset()
 
     timings = _measure_paired()
     stubbed_s = timings["stubbed"]
     disabled_s = timings["disabled"]
-    enabled_s = timings["enabled"]
     metrics.global_registry().reset()
-    ratio = timings["ratio"]
-    enabled_ratio = timings["enabled_ratio"]
+    ratio = timings["disabled_ratio"]
 
     write_table(
         "metrics",
-        f"Metrics overhead — {REPS} supersteps (compute + exchange), "
+        f"Instrumentation overhead — {REPS} supersteps (compute + exchange), "
         f"p={PARAMS.p}, medians of {ROUNDS} paired rounds "
-        f"(enabled: every {ENABLED_EVERY}th round)",
+        f"(metered, traced: every {ENABLED_EVERY}th round)",
         ("machine", "total (ms)", "vs no layer (median ratio)", "verdict"),
         [
             (
@@ -209,27 +230,33 @@ def test_disabled_metrics_are_free(benchmark):
                 "reference",
             ),
             (
-                "metrics disabled (default)",
+                "channel disabled (default)",
                 f"{disabled_s * 1e3:.1f}",
                 f"{ratio:.2f}x",
                 "within guard" if ratio <= MAX_OVERHEAD else "OVER BUDGET",
             ),
             (
                 "metrics enabled (sink + histograms)",
-                f"{enabled_s * 1e3:.1f}",
-                f"{enabled_ratio:.2f}x",
+                f"{timings['metered'] * 1e3:.1f}",
+                f"{timings['metered_ratio']:.2f}x",
+                "informational",
+            ),
+            (
+                "trace window open (full trace)",
+                f"{timings['traced'] * 1e3:.1f}",
+                f"{timings['traced_ratio']:.2f}x",
                 "informational",
             ),
         ],
-        footer="Guard: with metrics disabled the instrumentation must "
-        f"cost <= {MAX_OVERHEAD:.2f}x the machine with the sites removed "
-        "entirely (no sink installed, so span sites short-circuit on one "
-        "truthiness test).  Enabled metrics pay for record construction "
-        "plus one streaming-histogram update per span and are opt-in.",
+        footer="Guard: with no window open and metrics disabled the "
+        f"instrumentation must cost <= {MAX_OVERHEAD:.2f}x the machine "
+        "with the sites removed entirely (one truthiness test per site).  "
+        "Metrics and trace windows pay for record construction and are "
+        "opt-in.",
     )
 
     assert ratio <= MAX_OVERHEAD, (
-        f"disabled-metrics overhead {ratio:.3f}x exceeds the "
+        f"disabled-channel overhead {ratio:.3f}x exceeds the "
         f"{MAX_OVERHEAD:.2f}x budget (median of {ROUNDS} paired rounds; "
         f"median {disabled_s * 1e3:.2f} ms vs {stubbed_s * 1e3:.2f} ms over "
         f"{REPS} supersteps)"

@@ -39,9 +39,9 @@ WARM_PASSES = 20
 
 #: Length of the implication chains in the corpus.  Deep enough that the
 #: cold pass is dominated by actual solving rather than call overhead —
-#: with shallow chains the guard sat within timer noise of 2x, and the
-#: memoized ``simplify`` pass (which legitimately speeds the *cold* side
-#: up via intra-pass sharing) pushed it under.
+#: with shallow chains the guard sat within timer noise of 2x, and a
+#: memoized ``simplify`` pass (since deleted; it sped the *cold* side up
+#: via intra-pass sharing) pushed it under.
 CHAIN_LENGTH = 40
 
 

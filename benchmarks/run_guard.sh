@@ -12,7 +12,8 @@
 # tables and trace signatures), if the union-find inference engine no longer
 # delivers >= 5x over the substitution engine at AST size >= 500 (with
 # bit-identical types, constraints, derivations and errors), or if
-# disabled metrics cost more than 1.05x of the uninstrumented machine.
+# the disabled instrumentation channel (no window, no metrics) costs more
+# than 1.05x of the uninstrumented machine.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,5 +32,5 @@ python -m pytest benchmarks/bench_evaluators.py -q --benchmark-disable
 echo "== union-find inference engine speedup guard =="
 python -m pytest benchmarks/bench_infer_engines.py -q --benchmark-disable
 
-echo "== disabled-metrics overhead guard =="
+echo "== disabled-instrumentation overhead guard =="
 python -m pytest benchmarks/bench_metrics.py -q --benchmark-disable

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.bsp.cost import BspCost, SuperstepCost
 from repro.bsp.executor import SequentialExecutor, Task
 from repro.bsp.network import HRelation, h_relation_of_matrix
@@ -137,10 +137,10 @@ class BspMachine:
                 procs=self.p,
                 backend=self.executor.name,
             ):
-                return self._compute(tasks, tracing=True)
-        return self._compute(tasks, tracing=False)
+                return self._compute(tasks, tasks_traced=obs.window_open())
+        return self._compute(tasks, tasks_traced=False)
 
-    def _compute(self, tasks: Sequence[Task], tracing: bool) -> List[Any]:
+    def _compute(self, tasks: Sequence[Task], tasks_traced: bool) -> List[Any]:
         """The (transactional) body of :meth:`run_superstep`."""
         step_index = len(self._steps)
         outcomes = self.executor.run(tasks)
@@ -151,14 +151,12 @@ class BspMachine:
                 raise outcome.error
         # Commit: every process has a successful outcome.
         values: List[Any] = []
-        total_seconds = 0.0
         for proc, outcome in enumerate(outcomes):
             value, ops = outcome.value
             self._work[proc] += ops
             self._elapsed[proc] += outcome.seconds
-            total_seconds += outcome.seconds
             values.append(value)
-            if tracing:
+            if tasks_traced:
                 obs.record(
                     "task",
                     obs.process_track(proc),
@@ -168,10 +166,6 @@ class BspMachine:
                     ops=ops,
                     superstep=step_index,
                 )
-        if perf.is_collecting():
-            perf.increment(f"bsp.backend.{self.executor.name}.phases")
-            perf.increment(f"bsp.backend.{self.executor.name}.tasks", self.p)
-            perf.add_time(f"bsp.backend.{self.executor.name}.compute", total_seconds)
         return values
 
     # -- communication + synchronization phases ------------------------------
@@ -291,7 +285,8 @@ class BspMachine:
         self._steps.append(step)
         if obs.is_tracing():
             # The committed BspCost row rides on the trace so modelled
-            # cost can be read next to the measured phase spans.
+            # cost can be read next to the measured phase spans; counting
+            # windows and the metrics count supersteps and words from it.
             obs.event(
                 "superstep",
                 obs.MACHINE_TRACK,
@@ -307,9 +302,6 @@ class BspMachine:
         if deliveries:
             for (src, dst), value in deliveries.items():
                 self._mailboxes[dst][src] = value
-        if perf.is_collecting():
-            perf.increment("bsp.supersteps")
-            perf.increment("bsp.words_exchanged", relation.total_words)
 
     def cost(self) -> BspCost:
         """The cost so far, including any unfinished local-only phase."""

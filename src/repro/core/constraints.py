@@ -340,18 +340,15 @@ def assign(constraint: Constraint, var: str, value: bool) -> Constraint:
     return constraint
 
 
-@bounded_memo(SOLVER_CACHE_SIZE, name="constraints.simplify")
 def simplify(constraint: Constraint) -> Constraint:
     """Re-normalize a constraint bottom-up using the smart constructors.
 
     The constructors already keep constraints normalized, so this is a
     cheap identity-or-cleanup pass; it exists for constraints built
-    directly from the dataclass constructors (e.g. in tests).  Memoized
-    on the interned node (``constraints.simplify.hit/miss`` in the cache
-    report): :func:`is_satisfiable`, :func:`is_valid` and :func:`solve`
-    all simplify first, and the inference engines re-check overlapping
-    conclusion constraints at every rule boundary, so the same interned
-    nodes come back constantly.
+    directly from the dataclass constructors (e.g. in tests).  It is not
+    memoized: its callers :func:`is_satisfiable`, :func:`is_valid` and
+    :func:`solve` are, so it runs only on their misses, where a memo of
+    its own hit 7–33% of calls and pinned the nodes of every miss.
     """
     if isinstance(constraint, CAnd):
         return conj_all(simplify(part) for part in constraint.conjuncts)
@@ -526,7 +523,6 @@ def solve(constraint: Constraint) -> Constraint:
 #: Cache registration for ``--stats`` reporting (repro.perf).
 perf.register_cache("constraints.locality", locality)
 perf.register_cache("constraints.basic_constraint", basic_constraint)
-perf.register_cache("constraints.simplify", simplify)
 perf.register_cache("constraints.is_satisfiable", is_satisfiable)
 perf.register_cache("constraints.is_valid", is_valid)
 perf.register_cache("constraints.solve", solve)

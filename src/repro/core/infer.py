@@ -169,18 +169,18 @@ class Inferencer:
     # -- the rules of Figure 7 --------------------------------------------
 
     def infer(self, env: TypeEnv, expr: Expr) -> Tuple[ConstrainedType, Derivation]:
-        perf.increment("infer.nodes")
         if obs.window_open():
             # One span per typing judgment inside a trace window, nested
             # by the recursion on the ``inference`` track; the applied
             # rule name is attached once the premise sub-derivations
-            # have returned.
+            # have returned.  Counting windows derive infer.nodes from it.
             with obs.span(
                 "judgment", obs.INFERENCE_TRACK, node=type(expr).__name__
             ) as extra:
                 ct, derivation = self._infer_node(env, expr)
                 extra["rule"] = derivation.rule
                 return ct, derivation
+        perf.increment("infer.nodes")
         return self._infer_node(env, expr)
 
     def _infer_node(
@@ -524,7 +524,7 @@ def infer(
 
         return uf.infer(expr, env, prune=prune)
     inferencer = Inferencer(prune=prune)
-    with perf.timed("infer"), obs.span("infer", obs.INFERENCE_TRACK), deep_recursion():
+    with obs.span("infer", obs.INFERENCE_TRACK), deep_recursion():
         ct, _ = inferencer.infer(env or TypeEnv.empty(), expr)
         final = inferencer.subst.apply_constrained(ct)
     if prune:

@@ -433,8 +433,8 @@ def uf_unify(uf: UnionFind, left: Type, right: Type, loc: Optional[Loc] = None) 
     same bindings in the same order; errors carry frozen types so the
     messages match the substitution engine's byte for byte.
     """
-    tracing = obs.window_open()
-    started = time.perf_counter() if tracing else 0.0
+    windowed = obs.in_window()
+    started = time.perf_counter() if windowed else 0.0
     stack = [(left, right)]
     steps = 0
     while stack:
@@ -478,10 +478,8 @@ def uf_unify(uf: UnionFind, left: Type, right: Type, loc: Optional[Loc] = None) 
             stack.append((a.content, b.content))
             continue
         raise UnificationError(uf.freeze_type(a), uf.freeze_type(b), loc)
-    if perf.is_collecting():
-        perf.increment("unify.calls")
-        perf.increment("unify.steps", steps)
-    if tracing:
+    if windowed:
+        # One record: counting windows derive unify.calls/unify.steps.
         obs.record(
             "unify",
             obs.INFERENCE_TRACK,
@@ -604,14 +602,15 @@ class UFInferencer:
     def infer(
         self, env: TypeEnv, expr: Expr
     ) -> Tuple[ConstrainedType, Optional[Derivation]]:
-        perf.increment("infer.nodes")
         if self.checked and obs.window_open():
+            # Counting windows derive infer.nodes from the span.
             with obs.span(
                 "judgment", obs.INFERENCE_TRACK, node=type(expr).__name__
             ) as extra:
                 ct, derivation = self._infer_node(env, expr)
                 extra["rule"] = derivation.rule
                 return ct, derivation
+        perf.increment("infer.nodes")
         return self._infer_node(env, expr)
 
     def _infer_node(
@@ -870,7 +869,7 @@ def infer(expr: Expr, env: Optional[TypeEnv] = None, prune: bool = True) -> Cons
     environment = env or TypeEnv.empty()
     checked = obs.window_open()
     engine = UFInferencer(prune=prune, checked=checked)
-    with perf.timed("infer"), obs.span("infer", obs.INFERENCE_TRACK), deep_recursion():
+    with obs.span("infer", obs.INFERENCE_TRACK), deep_recursion():
         try:
             ct, _ = engine.infer(environment, expr)
             if checked:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro import obs, perf
+from repro import obs
 from repro.core.errors import OccursCheckError, UnificationError
 from repro.core.schemes import Subst
 from repro.core.types import (
@@ -35,8 +35,8 @@ def unify(left: Type, right: Type, loc: Optional[Loc] = None) -> Subst:
     Raises :class:`UnificationError` on a constructor clash and
     :class:`OccursCheckError` on a cyclic solution.
     """
-    tracing = obs.window_open()
-    started = time.perf_counter() if tracing else 0.0
+    windowed = obs.in_window()
+    started = time.perf_counter() if windowed else 0.0
     subst = Subst.identity()
     stack = [(left, right)]
     steps = 0
@@ -81,10 +81,8 @@ def unify(left: Type, right: Type, loc: Optional[Loc] = None) -> Subst:
             stack.append((a.content, b.content))
             continue
         raise UnificationError(a, b, loc)
-    if perf.is_collecting():
-        perf.increment("unify.calls")
-        perf.increment("unify.steps", steps)
-    if tracing:
+    if windowed:
+        # One record: counting windows derive unify.calls/unify.steps.
         obs.record(
             "unify",
             obs.INFERENCE_TRACK,

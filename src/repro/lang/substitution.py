@@ -47,11 +47,9 @@ def free_vars(expr: Expr) -> FrozenSet[str]:
     """
     cached = getattr(expr, "_free_vars_cache", None)
     if cached is not None:
-        if perf.is_collecting():
-            perf.increment("lang.free_vars.hit")
+        perf.increment("lang.free_vars.hit")
         return cached
-    if perf.is_collecting():
-        perf.increment("lang.free_vars.miss")
+    perf.increment("lang.free_vars.miss")
     result = _free_vars_of(expr)
     object.__setattr__(expr, "_free_vars_cache", result)
     return result

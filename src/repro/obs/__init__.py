@@ -1,8 +1,9 @@
 """Structured tracing, trace export, live metrics and BSP analytics.
 
-See :mod:`repro.obs.tracer` for the span/event model and the collection
-discipline, :mod:`repro.obs.export` for the Chrome-trace / JSONL /
-summary exporters, :mod:`repro.obs.metrics` for the process-global
+See :mod:`repro.obs.tracer` for the span/event model and the one window
+stack trace windows share with :mod:`repro.perf`'s counting windows,
+:mod:`repro.obs.export` for the Chrome-trace / JSONL / summary
+exporters, :mod:`repro.obs.metrics` for the process-global
 Prometheus-style aggregation layer, and :mod:`repro.obs.analyze` for
 post-hoc critical-path / load-balance / cost-calibration analysis of
 saved traces.  Typical use::
@@ -25,6 +26,7 @@ from repro.obs.tracer import (
     TraceRecord,
     add_sink,
     event,
+    in_window,
     is_active,
     is_tracing,
     process_track,
@@ -80,6 +82,7 @@ __all__ = [
     "analyze_trace",
     "event",
     "histograms",
+    "in_window",
     "is_active",
     "is_tracing",
     "load_trace",

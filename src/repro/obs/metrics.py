@@ -9,28 +9,29 @@ never the raw samples), each optionally split by a small set of labels.
 
 Three sources feed the registry:
 
-* the **trace layer** — when metrics are enabled a module-global sink is
-  registered with :mod:`repro.obs.tracer`; every finished span or event
-  (superstep compute/exchange/barrier phases, per-process tasks, the
+* the **record stream** — when metrics are enabled a module-global sink
+  is registered with :mod:`repro.obs.tracer`; every finished span or
+  event (superstep compute/exchange/barrier phases and commits, the
   ``infer`` span of every inference plus the ``Solve``/unify/judgment
-  spans recorded inside trace windows) is
-  projected onto the standard histograms and counters below.  The sink
-  is *not* context-local on purpose: per-request trace windows stay
-  isolated in their :mod:`contextvars`, while the metrics aggregate
-  across every request of the process;
+  spans recorded inside windows) is projected onto the standard
+  histograms and counters below.  The sink is *not* context-local on
+  purpose: per-request windows stay isolated in their
+  :mod:`contextvars`, while the metrics aggregate across every request
+  of the process;
 * the **service layer** — :mod:`repro.service.server` observes
-  per-route request latency and maintains the admission
-  gauges; :mod:`repro.service.cache` counts response-cache and front-map
-  hits;
+  per-route request latency and maintains the admission gauges, and
+  reads the response-cache and front-map lookup totals from their
+  shards at scrape time;
 * the **perf layer** — :mod:`repro.perf.bridge` contributes scrape-time
   samples for every registered solver cache and intern pool.
 
 Collection is **disabled by default** and reference-counted:
 :func:`enable` installs the trace sink (the service does this at boot,
 the REPL on ``:metrics on``), :func:`disable` removes it when the last
-user leaves.  With metrics disabled every instrumentation point is one
-truthiness test — the ``bench_metrics.py`` guard holds the machine to
-the same <= 1.05x budget as the tracer.
+user leaves.  With metrics disabled and no window open every
+instrumentation point is one truthiness test — the ``bench_metrics.py``
+guard holds the machine to <= 1.05x of the machine with the channel
+stubbed out.
 
 The exposition format is the Prometheus text format (version 0.0.4):
 ``# HELP``/``# TYPE`` comments followed by ``name{label="value"} value``
@@ -503,19 +504,6 @@ REJECTED_TOTAL = _GLOBAL.counter(
     "Requests rejected by admission control (HTTP 429).",
 )
 
-CACHE_REQUESTS_TOTAL = _GLOBAL.counter(
-    "repro_response_cache_requests_total",
-    "Response-cache lookups by result (hit/miss) plus evictions.",
-    ("result",),
-)
-
-FRONT_MAP_REQUESTS_TOTAL = _GLOBAL.counter(
-    "repro_front_map_requests_total",
-    "Front-map lookups (request body to program digest) by result "
-    "(hit/miss) plus evictions.",
-    ("result",),
-)
-
 INFLIGHT_REQUESTS = _GLOBAL.gauge(
     "repro_inflight_requests",
     "Requests currently computing (inside the admission semaphore).",
@@ -556,14 +544,8 @@ WORDS_TOTAL = _GLOBAL.counter(
 INFERENCE_SECONDS = _GLOBAL.histogram(
     "repro_inference_seconds",
     "Type-inference span durations by kind: infer (every run), "
-    "judgment/solve/unify (inside trace windows only).",
+    "judgment/solve/unify (inside collection windows only).",
     ("kind",),
-)
-
-TASK_SECONDS_TOTAL = _GLOBAL.counter(
-    "repro_task_seconds_total",
-    "Measured per-process compute seconds (load-imbalance numerator).",
-    ("proc",),
 )
 
 
@@ -588,10 +570,6 @@ def _trace_sink(record: TraceRecord) -> None:
             SUPERSTEP_SECONDS.observe(record.dur, phase=name[len("superstep.") :])
         elif name in _INFERENCE_SPANS:
             INFERENCE_SECONDS.observe(record.dur, kind=name)
-        elif name == "task":
-            proc = record.arg("proc")
-            if proc is not None:
-                TASK_SECONDS_TOTAL.inc(record.dur, proc=str(proc))
         return
     if name == "superstep":
         SUPERSTEPS_TOTAL.inc()

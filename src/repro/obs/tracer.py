@@ -1,52 +1,45 @@
-"""Structured tracing for the BSP machine and the inference pipeline.
+"""The one instrumentation channel: records, windows and sinks.
 
-Where :mod:`repro.perf` answers *how much* (counters, accumulated
-timers, cache hit rates), this module answers *when and where*: it
-records :class:`TraceRecord` entries — **spans** (a name, a start
-timestamp and a duration) and **instant events** (a name and a
-timestamp) — laid out on named **tracks**:
+Every instrumentation site of the BSP machine and the inference
+pipeline reports an event once, as a :class:`TraceRecord` — a **span**
+(a name, a start timestamp and a duration) or an **instant event** —
+on a named **track**: one per BSP process id (``proc 0`` ...), the
+``machine`` track (superstep phases and commits with their committed
+:class:`~repro.bsp.cost.BspCost` row) and the ``inference`` track (the
+``infer`` span of each run and, inside a trace window only, the
+per-judgment spans and the ``Solve``/unification work under them).
 
-* one track per BSP process id (``proc 0`` ... ``proc p-1``) carrying
-  the per-process task lifecycle of each computation phase;
-* a ``machine`` track carrying the superstep phases themselves
-  (compute / exchange / barrier), superstep commits with their
-  committed :class:`~repro.bsp.cost.BspCost` row;
-* an ``inference`` track carrying the ``infer`` span of each inference
-  run and, inside a trace window only (:func:`window_open`), the
-  per-judgment spans and the ``Solve``/unification work under them.
+Three consumers read that one stream.  A **trace window**
+(:class:`Trace`, :func:`trace`) keeps every record.  A **counting
+window** (:class:`repro.perf.PerfStats`, :func:`repro.perf.collect`)
+keeps counters and timers: what sites add with :func:`increment`, plus
+what it derives from the records it sees (:data:`DERIVED_COUNTERS`,
+:data:`DERIVED_TIMERS`).  A process-global **sink** (:func:`add_sink`;
+the registry of :mod:`repro.obs.metrics`) sees every record of the
+process.  Both window kinds are :class:`Window` views on one
+**context-local** stack (a :class:`contextvars.ContextVar`), so two
+requests served on different threads or asyncio tasks never report
+into each other's windows, while a sink aggregates across all of them.
 
-Collection follows the exact opt-in, stack-shaped discipline of
-:mod:`repro.perf.counters`: :func:`trace` pushes a :class:`Trace` onto a
-**context-local** stack (a :class:`contextvars.ContextVar`), every
-instrumentation point guards itself with :func:`is_tracing` (one
-truthiness test when disabled — cheap enough for hot loops to call
-unconditionally; the per-node inference sites use :func:`window_open`
-so that a process-global sink alone does not pay for them), and
-finished records are appended to *all* active collectors, so nested
-scopes each see their own copy.  Context-locality
-keeps concurrent requests of the long-running service from interleaving
-their spans into each other's traces: a trace window opened on one
-thread (or asyncio task) collects only that thread of control's records,
-while single-threaded use behaves exactly like the old module stack.
+Each site guards itself with one test, a truthiness check when nothing
+listens: :func:`is_tracing` (any window or sink) for the machine's
+phases and the ``infer`` span, :func:`in_window` (any window) for
+unification, and :func:`window_open` (a trace window) for the per-node
+inference spans and per-process tasks — so a counting window or a sink
+alone does not turn on the checked inference pass.
 
-Timestamps are ``time.perf_counter()`` values — monotonic, and on this
-platform system-wide, so worker-measured task timings and
-coordinator-measured phase spans share one timeline.  Exporters
-(:mod:`repro.obs.export`) normalize them against the collector's
+Timestamps are ``time.perf_counter()`` values, so worker-measured task
+timings and coordinator-measured phase spans share one timeline;
+exporters (:mod:`repro.obs.export`) normalize them against the window's
 ``epoch``.
 
-**Abstract versus measured.**  Every record separates what is
-*deterministic* about an execution (span names, tracks, superstep
-indices, abstract op counts, h-relations) from what is
-*measured* (timestamps, durations, wall-clock seconds, backend names).
-:meth:`Trace.abstract_signature` projects a trace onto its deterministic
-part: records whose name starts with ``backend.`` (re-entrant inline
-runs — legitimate per-backend behaviour) are dropped,
-and arg keys in :data:`NONABSTRACT_ARGS` are filtered out.  The
-conformance harness (:func:`repro.testing.conform`) demands that this
-signature be bit-identical across execution backends and evaluation
-engines — the tracing analogue of comparing
-:class:`~repro.bsp.cost.BspCost` tables exactly.
+**Abstract versus measured.**  :meth:`Trace.abstract_signature`
+projects a trace onto what is deterministic about an execution (span
+names, tracks, superstep indices, abstract op counts, h-relations):
+records named ``backend.*`` (re-entrant inline runs) are dropped and
+arg keys in :data:`NONABSTRACT_ARGS` filtered out.  The conformance
+harness (:func:`repro.testing.conform`) demands that this signature be
+bit-identical across execution backends and evaluation engines.
 """
 
 from __future__ import annotations
@@ -55,7 +48,9 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterator, List, Optional, Tuple, TypeVar
+)
 
 #: The track carrying superstep phases and commits.
 MACHINE_TRACK = "machine"
@@ -70,6 +65,18 @@ NONABSTRACT_ARGS = frozenset({"seconds", "ms", "backend"})
 #: Record-name prefixes whose records are backend-specific lifecycle
 #: (re-entrant inline runs) and excluded from the signature.
 NONABSTRACT_PREFIXES = ("backend.",)
+
+#: The counters a counting window derives from each record it sees:
+#: record name -> ``(counter, arg whose value it adds or None for 1)``.
+DERIVED_COUNTERS: Dict[str, Tuple[Tuple[str, Optional[str]], ...]] = {
+    "superstep": (("bsp.supersteps", None), ("bsp.words_exchanged", "words")),
+    "unify": (("unify.calls", None), ("unify.steps", "steps")),
+    "judgment": (("infer.nodes", None),),
+}
+
+#: Spans whose durations a counting window accumulates under a timer of
+#: the span's name.
+DERIVED_TIMERS = frozenset({"infer"})
 
 
 def process_track(proc: int) -> str:
@@ -114,9 +121,20 @@ class TraceRecord:
         return (self.name, self.track, kept)
 
 
+class Window:
+    """One collection window: a view of the record stream.
+
+    A trace window sets ``records``; a counting window sets ``counters``
+    and ``timers``.  The other view's attributes stay None."""
+
+    records: Optional[List[TraceRecord]] = None
+    counters: Optional[Dict[str, float]] = None
+    timers: Optional[Dict[str, float]] = None
+
+
 @dataclass
-class Trace:
-    """One collection window of trace records.
+class Trace(Window):
+    """The trace view: a window keeping every record.
 
     ``epoch`` anchors the window: exporters subtract it so timelines
     start at zero.  Records are appended in *program order* by the
@@ -178,31 +196,46 @@ class Trace:
         return tuple(entry for entry in projected if entry is not None)
 
 
-#: Context-local stack of active collectors (usually empty or a single
-#: entry).  An immutable tuple, so pushes/pops are plain set() calls and
+W = TypeVar("W", bound=Window)
+
+#: The context-local stack of open windows (usually empty or one entry).
+#: An immutable tuple, so pushes/pops are plain set() calls and
 #: concurrent contexts never observe a half-mutated stack.
-_ACTIVE: ContextVar[Tuple[Trace, ...]] = ContextVar(
-    "repro_obs_active", default=()
-)
+_WINDOWS: ContextVar[Tuple[Window, ...]] = ContextVar("repro_windows", default=())
 
-
-def _push(collector: Trace) -> None:
-    _ACTIVE.set(_ACTIVE.get() + (collector,))
-
-
-def _pop(collector: Trace) -> None:
-    active = _ACTIVE.get()
-    if collector in active:
-        _ACTIVE.set(tuple(entry for entry in active if entry is not collector))
-
-
-#: Module-global record sinks.  Unlike the context-local collectors a
-#: sink sees every record of the whole process — it is how the metrics
-#: aggregation layer (:mod:`repro.obs.metrics`) observes superstep and
-#: inference spans across all concurrent requests of the service while
-#: each request's trace window stays isolated.  An immutable tuple for
-#: the same torn-read-free reason as ``_ACTIVE``.
+#: Module-global record sinks.  Unlike a window a sink sees every record
+#: of the whole process — it is how the metrics aggregation layer
+#: (:mod:`repro.obs.metrics`) observes superstep and inference spans
+#: across all concurrent requests of the service while each request's
+#: windows stay isolated.  An immutable tuple for the same torn-read-free
+#: reason as ``_WINDOWS``.
 _SINKS: Tuple[Callable[[TraceRecord], None], ...] = ()
+
+
+def open_window(window: W) -> W:
+    """Push ``window`` onto this context's stack (idempotent)."""
+    windows = _WINDOWS.get()
+    if not any(entry is window for entry in windows):
+        _WINDOWS.set(windows + (window,))
+    return window
+
+
+def close_window(window: W) -> W:
+    """Pop ``window`` from this context's stack (idempotent)."""
+    windows = _WINDOWS.get()
+    if any(entry is window for entry in windows):
+        _WINDOWS.set(tuple(entry for entry in windows if entry is not window))
+    return window
+
+
+@contextmanager
+def window(opened: W) -> Iterator[W]:
+    """Keep ``opened`` on the stack for the enclosed block."""
+    open_window(opened)
+    try:
+        yield opened
+    finally:
+        close_window(opened)
 
 
 def add_sink(sink: Callable[[TraceRecord], None]) -> None:
@@ -220,24 +253,41 @@ def remove_sink(sink: Callable[[TraceRecord], None]) -> None:
 
 
 def is_tracing() -> bool:
-    """True when any consumer wants records: a context-local collector
-    in this context, or a process-global sink."""
-    return bool(_ACTIVE.get()) or bool(_SINKS)
+    """True when any consumer wants records: a window of either view in
+    this context, or a process-global sink."""
+    return bool(_WINDOWS.get()) or bool(_SINKS)
+
+
+def in_window() -> bool:
+    """True when a window of either view is open in this context (the
+    unification sites: a sink alone gets no ``unify`` records)."""
+    return bool(_WINDOWS.get())
 
 
 def window_open() -> bool:
-    """True when a context-local trace window is open in this context.
+    """True when a trace window is open in this context.
 
-    The per-node inference sites (``judgment``, ``unify``, ``solve``)
-    test this rather than :func:`is_tracing`: a process-global sink
-    alone (the server's metrics) gets one ``infer`` span per inference,
-    not one record per typing judgment."""
-    return bool(_ACTIVE.get())
+    The per-node inference sites (``judgment``, ``solve``) and the
+    per-process ``task`` spans test this rather than :func:`is_tracing`:
+    a counting window or a sink alone (the server's metrics) gets one
+    ``infer`` span per inference, not one record per typing judgment."""
+    for entry in _WINDOWS.get():
+        if entry.records is not None:
+            return True
+    return False
 
 
-def is_active(collector: Trace) -> bool:
-    """True when ``collector`` is currently collecting in this context."""
-    return collector in _ACTIVE.get()
+def is_collecting() -> bool:
+    """True when a counting window is open in this context."""
+    for entry in _WINDOWS.get():
+        if entry.counters is not None:
+            return True
+    return False
+
+
+def is_active(collector: Window) -> bool:
+    """True when ``collector`` is currently open in this context."""
+    return any(entry is collector for entry in _WINDOWS.get())
 
 
 def record(
@@ -247,20 +297,36 @@ def record(
     dur: Optional[float] = None,
     **args: Any,
 ) -> None:
-    """Append a finished record to every active collector and sink."""
-    active = _ACTIVE.get()
+    """Report one finished record: trace windows and sinks keep it,
+    counting windows derive their counters and timers from it."""
+    windows = _WINDOWS.get()
     sinks = _SINKS
-    if not active and not sinks:
+    if not windows and not sinks:
         return
-    entry = TraceRecord(name, track, ts, dur, tuple(sorted(args.items())))
-    for trace_ in active:
-        trace_.records.append(entry)
-    for sink in sinks:
-        try:
-            sink(entry)
-        except Exception:
-            # A broken metrics sink must never take the machine down.
-            pass
+    entry = None
+    for opened in windows:
+        counters = opened.counters
+        if counters is None:
+            if entry is None:
+                entry = TraceRecord(name, track, ts, dur, tuple(sorted(args.items())))
+            opened.records.append(entry)  # type: ignore[union-attr]
+            continue
+        for counter, arg in DERIVED_COUNTERS.get(name, ()):
+            counters[counter] = counters.get(counter, 0) + (
+                1 if arg is None else args.get(arg, 0)
+            )
+        if dur is not None and name in DERIVED_TIMERS:
+            timers = opened.timers
+            timers[name] = timers.get(name, 0.0) + dur  # type: ignore[index,union-attr]
+    if sinks:
+        if entry is None:
+            entry = TraceRecord(name, track, ts, dur, tuple(sorted(args.items())))
+        for sink in sinks:
+            try:
+                sink(entry)
+            except Exception:
+                # A broken metrics sink must never take the machine down.
+                pass
 
 
 def event(name: str, track: str, **args: Any) -> None:
@@ -282,8 +348,8 @@ def span(name: str, track: str, **args: Any) -> Iterator[Optional[Dict[str, Any]
             if extra is not None:
                 extra["h"] = relation.h
 
-    The span is recorded even when the block raises — a failed phase is
-    exactly what a chaos trace needs to show.
+    The span is recorded even when the block raises, so a trace shows
+    the phase or judgment that failed and its duration.
     """
     if not is_tracing():
         yield None
@@ -296,34 +362,47 @@ def span(name: str, track: str, **args: Any) -> Iterator[Optional[Dict[str, Any]
         record(name, track, start, time.perf_counter() - start, **{**args, **extra})
 
 
+def increment(name: str, by: float = 1) -> None:
+    """Add ``by`` to counter ``name`` on every open counting window."""
+    for opened in _WINDOWS.get():
+        counters = opened.counters
+        if counters is not None:
+            counters[name] = counters.get(name, 0) + by
+
+
 @contextmanager
-def trace() -> Iterator[Trace]:
-    """Collect trace records for the enclosed block."""
-    collector = Trace()
-    _push(collector)
+def timed(name: str) -> Iterator[None]:
+    """Time the enclosed block into timer ``name`` on every open
+    counting window (no-op when none is open)."""
+    start = time.perf_counter()
     try:
-        yield collector
+        yield
     finally:
-        _pop(collector)
+        for opened in _WINDOWS.get():
+            timers = opened.timers
+            if timers is not None:
+                timers[name] = timers.get(name, 0.0) + time.perf_counter() - start
+
+
+def trace() -> ContextManager[Trace]:
+    """Collect trace records for the enclosed block."""
+    return window(Trace())
 
 
 def start() -> Trace:
-    """Begin an open-ended collection window (REPL sessions).
+    """Begin an open-ended trace window (REPL sessions).
 
     The returned trace accumulates until :func:`stop` is called; it may
     be exported live at any point.  The window is bound to the calling
     context: code running on other threads or tasks does not report
     into it.
     """
-    collector = Trace()
-    _push(collector)
-    return collector
+    return open_window(Trace())
 
 
 def stop(collector: Trace) -> Trace:
     """End a window opened with :func:`start` (idempotent)."""
-    _pop(collector)
-    return collector
+    return close_window(collector)
 
 
 def resume(collector: Trace) -> Trace:
@@ -332,6 +411,4 @@ def resume(collector: Trace) -> Trace:
     New records append after the ones already collected (the REPL's
     ``:trace on`` after ``:trace off``); idempotent when already active.
     """
-    if collector not in _ACTIVE.get():
-        _push(collector)
-    return collector
+    return open_window(collector)

@@ -1,6 +1,8 @@
 """Performance observability for the inference pipeline and BSP engine.
 
-See :mod:`repro.perf.counters` for the design.  Typical use::
+See :mod:`repro.perf.counters` for the counting view and
+:mod:`repro.obs.tracer` for the one window stack it shares with trace
+windows.  Typical use::
 
     from repro import perf
 
@@ -9,19 +11,16 @@ See :mod:`repro.perf.counters` for the design.  Typical use::
     print(stats.render())
 """
 
+from repro.obs.tracer import increment, is_collecting, timed
 from repro.perf.counters import (
     CacheReport,
     PerfStats,
-    add_time,
     clear_caches,
     collect,
-    increment,
-    is_collecting,
     register_cache,
     registered_caches,
     start,
     stop,
-    timed,
 )
 from repro.perf.memo import (
     BoundedMemo,
@@ -33,7 +32,6 @@ __all__ = [
     "BoundedMemo",
     "CacheReport",
     "PerfStats",
-    "add_time",
     "bounded_memo",
     "clear_caches",
     "collect",

@@ -1,55 +1,34 @@
-"""Counters, timers and cache statistics for the inference pipeline.
+"""Counters, timers and cache statistics: the counting view of a window.
 
-The hot path of the reproduction is ``Solve`` — invoked at every
-instantiation and generalization point — plus unification and the BSP
-superstep engine.  This module gives all of them one cheap, explicit
-observability surface:
+:func:`collect` opens a counting window (:class:`PerfStats`) on the one
+context-local window stack of :mod:`repro.obs.tracer`.  It keeps
+**counters** — added by sites with :func:`repro.perf.increment`
+(``Solve`` checks, cache lookups, ...) or derived from the records the
+sites report once (``bsp.supersteps``/``bsp.words_exchanged`` from each
+``superstep`` event, ``unify.calls``/``unify.steps`` from each ``unify``
+record) — **timers** (the ``infer`` span, :func:`repro.perf.timed`), and
+**cache statistics**: every memoization cache of the solver layer
+registers itself with :func:`register_cache`, and a window snapshots
+their bookkeeping on entry and reports hit/miss/eviction *deltas*, so
+nested or repeated windows stay accurate.  Counts apply to every open
+counting window, so nested scopes each see their own totals.
 
-* **counters** — monotonically increasing event counts (``solve`` calls,
-  unification steps, supersteps simulated, words exchanged, ...);
-* **timers** — wall-clock accumulated under a label via :func:`timed`;
-* **cache statistics** — every memoization cache of the solver layer
-  registers itself with :func:`register_cache`; a collector snapshots the
-  ``functools.lru_cache`` bookkeeping on entry and reports hit/miss
-  *deltas*, so nested or repeated collections stay accurate.
-
-Collection is opt-in and stack-shaped: :func:`collect` pushes a
-:class:`PerfStats` onto a **context-local** stack (a
-:class:`contextvars.ContextVar`), every instrumentation point checks the
-stack (one truthiness test when disabled — cheap enough for hot loops to
-call unconditionally), and increments apply to *all* active collectors
-so nested scopes each see their own totals.
-
-Context-locality is what makes the stack safe under concurrency: two
-requests served on different threads (or asyncio tasks) of the
-long-running service each see only their own collectors, where a
-module-global list would interleave every request's counters into every
-window.  Within one thread of control the behaviour is identical to the
-old module-level stack.
-
-The design is invalidation-free by construction: every cached function is
-keyed on hash-consed immutable nodes (see :mod:`repro.core.types` and
-:mod:`repro.core.constraints`), so entries can never go stale — the only
-eviction is the bounded LRU size.
+A counting window keeps no records and does not make
+:func:`repro.obs.window_open` true, so inference keeps its product pass
+under ``--stats``.  Every cached function is keyed on hash-consed
+immutable nodes (:mod:`repro.core.types`, :mod:`repro.core.constraints`),
+so entries never go stale; the only eviction is the bounded LRU size.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Tuple
+
+from repro.obs.tracer import Window, close_window, open_window, window
 
 #: Registry of memoized functions: name -> lru_cache-wrapped callable.
 _REGISTERED_CACHES: Dict[str, Callable[..., Any]] = {}
-
-#: Context-local stack of active collectors (usually empty or a single
-#: entry).  Stored as an immutable tuple so pushes/pops are plain set()
-#: calls and concurrent contexts can never observe a half-mutated stack.
-_ACTIVE: ContextVar[Tuple["PerfStats", ...]] = ContextVar(
-    "repro_perf_active", default=()
-)
 
 
 def register_cache(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -76,42 +55,6 @@ def clear_caches() -> None:
     """
     for fn in _REGISTERED_CACHES.values():
         fn.cache_clear()
-
-
-def is_collecting() -> bool:
-    """True when at least one collector is active in this context."""
-    return bool(_ACTIVE.get())
-
-
-def increment(name: str, by: float = 1) -> None:
-    """Add ``by`` to counter ``name`` on every active collector."""
-    active = _ACTIVE.get()
-    if not active:
-        return
-    for stats in active:
-        stats.counters[name] = stats.counters.get(name, 0) + by
-
-
-def add_time(name: str, seconds: float) -> None:
-    """Accumulate ``seconds`` under timer ``name`` on active collectors."""
-    active = _ACTIVE.get()
-    if not active:
-        return
-    for stats in active:
-        stats.timers[name] = stats.timers.get(name, 0.0) + seconds
-
-
-@contextmanager
-def timed(name: str) -> Iterator[None]:
-    """Time the enclosed block into timer ``name`` (no-op when inactive)."""
-    if not _ACTIVE.get():
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        add_time(name, time.perf_counter() - start)
 
 
 @dataclass
@@ -142,8 +85,8 @@ class CacheReport:
 
 
 @dataclass
-class PerfStats:
-    """One collection window of counters, timers and cache deltas."""
+class PerfStats(Window):
+    """The counting view: a window of counters, timers and cache deltas."""
 
     counters: Dict[str, float] = field(default_factory=dict)
     timers: Dict[str, float] = field(default_factory=dict)
@@ -225,30 +168,15 @@ class PerfStats:
         return "\n".join(lines)
 
 
-def _push(stats: "PerfStats") -> None:
-    _ACTIVE.set(_ACTIVE.get() + (stats,))
-
-
-def _pop(stats: "PerfStats") -> None:
-    active = _ACTIVE.get()
-    if stats in active:
-        _ACTIVE.set(tuple(entry for entry in active if entry is not stats))
-
-
-@contextmanager
-def collect() -> Iterator[PerfStats]:
+def collect() -> ContextManager[PerfStats]:
     """Collect counters, timers and cache deltas for the enclosed block."""
     stats = PerfStats()
     stats.snapshot_caches()
-    _push(stats)
-    try:
-        yield stats
-    finally:
-        _pop(stats)
+    return window(stats)
 
 
 def start() -> PerfStats:
-    """Begin an open-ended collection window (REPL sessions).
+    """Begin an open-ended counting window (REPL sessions).
 
     The returned stats object accumulates until :func:`stop` is called;
     its :meth:`PerfStats.render` may be consulted live at any point.
@@ -257,11 +185,9 @@ def start() -> PerfStats:
     """
     stats = PerfStats()
     stats.snapshot_caches()
-    _push(stats)
-    return stats
+    return open_window(stats)
 
 
 def stop(stats: PerfStats) -> PerfStats:
     """End a window opened with :func:`start` (idempotent)."""
-    _pop(stats)
-    return stats
+    return close_window(stats)

@@ -205,9 +205,9 @@ class Session:
     def _trace_meta(self, word: str, rest: str, out: TextIO) -> None:
         """``:trace on|off|save FILE [format]|status``."""
         collector = self.trace_collector
-        # obs.is_tracing() is true whenever *anyone* collects — including
-        # the global metrics sink — so the session's own window state
-        # must be read with is_active(collector).
+        # obs.is_tracing() is true whenever *anyone* listens — the
+        # session's own counting window, the global metrics sink — so
+        # the trace window's state must be read with is_active(collector).
         if word == "on":
             if collector is not None and obs.is_active(collector):
                 print(

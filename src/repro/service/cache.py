@@ -9,7 +9,10 @@ The service keeps a second instance, the *front map*, keyed on
 ``sha256(route + request body)`` and holding the program digest:
 it lets a byte-identical repeat find its response-cache entry without
 being parsed.  The digest stays the cache identity; the front map holds
-no response bytes.  Each instance counts under its constructor ``name``.
+no response bytes.  Each instance counts under its constructor ``name``:
+its shards keep the lookup totals (``/v1/stats``, and the metric family
+:meth:`ShardedCache.metric` reads at scrape time), and each lookup adds
+one ``service.<name>.*`` counter to open counting windows.
 
 Sharding bounds lock contention: a key's leading hex digits pick its
 shard, each shard is an independently locked LRU, and concurrent
@@ -25,15 +28,22 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
-from repro.obs import metrics
-from repro.perf import counters
+from repro import perf
+from repro.obs.metrics import MetricData, MetricSample
 
 V = TypeVar("V")
 
-#: Cache name -> (perf counter prefix, metrics family of its lookups).
-_COUNTERS = {
-    "cache": ("service.cache", metrics.CACHE_REQUESTS_TOTAL),
-    "front_map": ("service.front_map", metrics.FRONT_MAP_REQUESTS_TOTAL),
+#: Cache name -> (name, help) of the metric family of its lookups.
+_FAMILIES = {
+    "cache": (
+        "repro_response_cache_requests_total",
+        "Response-cache lookups by result (hit/miss) plus evictions.",
+    ),
+    "front_map": (
+        "repro_front_map_requests_total",
+        "Front-map lookups (request body to program digest) by result "
+        "(hit/miss) plus evictions.",
+    ),
 }
 
 
@@ -60,9 +70,9 @@ class ShardedCache(Generic[V]):
         shards = min(shards, capacity)
         per_shard = max(1, (capacity + shards - 1) // shards)
         self._shards: List[_Shard[V]] = [_Shard(per_shard) for _ in range(shards)]
-        prefix, self._family = _COUNTERS[name]
+        self._family = _FAMILIES[name]
         self._hit, self._miss, self._evict = (
-            f"{prefix}.{result}" for result in ("hit", "miss", "evict")
+            f"service.{name}.{result}" for result in ("hit", "miss", "evict")
         )
 
     def _shard(self, key: str) -> _Shard[V]:
@@ -86,15 +96,11 @@ class ShardedCache(Generic[V]):
             except KeyError:
                 if count_miss:
                     shard.misses += 1
-                    counters.increment(self._miss)
-                    if metrics.is_enabled():
-                        self._family.inc(result="miss")
+                    perf.increment(self._miss)
                 return None
             shard.data.move_to_end(key)
             shard.hits += 1
-            counters.increment(self._hit)
-            if metrics.is_enabled():
-                self._family.inc(result="hit")
+            perf.increment(self._hit)
             return value
 
     def put(self, key: str, value: V) -> None:
@@ -105,9 +111,7 @@ class ShardedCache(Generic[V]):
             while len(shard.data) > shard.capacity:
                 shard.data.popitem(last=False)
                 shard.evictions += 1
-                counters.increment(self._evict)
-                if metrics.is_enabled():
-                    self._family.inc(result="evict")
+                perf.increment(self._evict)
 
     def __contains__(self, key: str) -> bool:
         shard = self._shard(key)
@@ -134,6 +138,15 @@ class ShardedCache(Generic[V]):
         totals["shards"] = len(self._shards)
         totals["capacity"] = sum(shard.capacity for shard in self._shards)
         return totals
+
+    def metric(self) -> MetricData:
+        """The lookup totals of :meth:`stats` as a counter family (read
+        at scrape time)."""
+        name, help = self._family
+        totals = self.stats()
+        results = (("evict", "evictions"), ("hit", "hits"), ("miss", "misses"))
+        samples = [MetricSample("", (("result", r),), totals[k]) for r, k in results]
+        return MetricData(name, "counter", help, samples)
 
     def shard_sizes(self) -> Tuple[int, ...]:
         return tuple(len(shard.data) for shard in self._shards)

@@ -58,7 +58,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import metrics
 from repro.service.handlers import (
@@ -137,6 +137,7 @@ class ReproServer:
     async def start(self) -> None:
         if self.core.config.metrics and not self._metrics_on:
             metrics.enable()
+            metrics.global_registry().register_collector(self._cache_metrics)
             self._metrics_on = True
         self._semaphore = asyncio.Semaphore(self.max_concurrency)
         self._server = await asyncio.start_server(
@@ -164,8 +165,13 @@ class ReproServer:
             await asyncio.gather(*lingering, return_exceptions=True)
         self._pool.shutdown(wait=False)
         if self._metrics_on:
+            metrics.global_registry().unregister_collector(self._cache_metrics)
             metrics.disable()
             self._metrics_on = False
+
+    def _cache_metrics(self) -> List[metrics.MetricData]:
+        """The response-cache and front-map lookup families."""
+        return [self.core.cache.metric(), self.core.front.metric()]
 
     # -- connection handling ----------------------------------------------
 

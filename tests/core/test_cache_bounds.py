@@ -120,7 +120,7 @@ REQUESTS = 2000
 BASELINE_AT = 500
 #: Live nodes the pools may still gain between the baseline and the end
 #: at the default bound: the memos that had not filled by the baseline
-#: (``simplify`` and ``is_satisfiable`` fill slowest) pin a few hundred
+#: (``is_satisfiable`` fills slowest) pin a few hundred
 #: more nodes before they saturate.  At a 65,536 bound the pools gain
 #: about 20 nodes per request, ~30,000 over the same stretch.
 POOL_SLACK = 1500

@@ -270,53 +270,24 @@ class TestRendering:
 
 
 class TestSimplifyAndHornMemoization:
-    """``simplify`` and ``is_satisfiable`` are memoized on interned
-    node identity in eviction-counting :class:`BoundedMemo` caches, and
-    surface through the same ``--stats``/``/v1/stats`` machinery as the
-    other solver caches.  The Horn check behind ``is_satisfiable`` has no
-    memo of its own: ``is_satisfiable``'s memo already answers every
-    repeat."""
+    """``is_satisfiable`` is memoized on interned node identity in an
+    eviction-counting :class:`BoundedMemo` cache and surfaces through the
+    same ``--stats``/``/v1/stats`` machinery as the other solver caches.
+    Neither ``simplify`` nor the Horn check behind ``is_satisfiable`` has
+    a memo of its own: they run only on the misses of the memoized
+    solver entry points."""
 
     def _distinct_constraint(self, i: int):
         # Distinct interned nodes per i: an implication chain over
         # uniquely-named atoms (never reused elsewhere in the suite).
         return imp(CLoc(f"memo{i}a"), conj(CLoc(f"memo{i}b"), CLoc(f"memo{i}c")))
 
-    def test_simplify_hits_on_repeated_interned_node(self):
-        node = self._distinct_constraint(10_000)
-        simplify.cache_clear()
-        first = simplify(node)
-        info_after_miss = simplify.cache_info()
-        second = simplify(node)
-        info_after_hit = simplify.cache_info()
-        assert first is second
-        assert info_after_hit.hits == info_after_miss.hits + 1
-        assert info_after_hit.misses == info_after_miss.misses
-
-    def test_simplify_evicts_under_small_bound(self):
-        from repro.core.constraints import SOLVER_CACHE_SIZE
-
-        import repro.perf as perf
-
-        perf.resize_registered(8, prefix="constraints.simplify")
-        try:
-            simplify.cache_clear()
-            evictions_before = simplify.evictions
-            for i in range(30_000, 30_064):
-                simplify(self._distinct_constraint(i))
-            assert simplify.evictions > evictions_before
-            # Capacity is respected: at most 8 live entries.
-            assert simplify.cache_info().currsize <= 8
-        finally:
-            perf.resize_registered(SOLVER_CACHE_SIZE, prefix="constraints.simplify")
-            simplify.cache_clear()
-
     def test_both_caches_registered_for_stats(self):
         import repro.perf as perf
 
         names = set(perf.registered_caches())
-        assert "constraints.simplify" in names
         assert "constraints.is_satisfiable" in names
+        assert "constraints.simplify" not in names
         assert "constraints.horn_satisfiable" not in names
 
     def test_counters_surface_in_stats_render(self):
@@ -326,12 +297,10 @@ class TestSimplifyAndHornMemoization:
 
         with perf.collect() as stats:
             for i in range(40_000, 40_004):
-                simplify(self._distinct_constraint(i))
-                simplify(self._distinct_constraint(i))
+                is_satisfiable(self._distinct_constraint(i))
                 is_satisfiable(self._distinct_constraint(i))
         reports = {report.name: report for report in stats.cache_reports()}
-        assert reports["constraints.simplify"].hits >= 4
-        assert reports["constraints.simplify"].misses >= 4
+        assert reports["constraints.is_satisfiable"].hits >= 4
+        assert reports["constraints.is_satisfiable"].misses >= 4
         rendered = stats.render()
-        assert "constraints.simplify" in rendered
         assert "constraints.is_satisfiable" in rendered

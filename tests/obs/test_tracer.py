@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro import obs
+from repro import obs, perf
 
 
 class TestDisabledPath:
@@ -106,6 +106,42 @@ class TestCollection:
         after = time.perf_counter()
         assert before <= t.records[0].ts <= after
         assert t.epoch <= t.records[0].ts
+
+
+class TestWindowViews:
+    """Trace and counting windows are two views on one window stack."""
+
+    def test_counting_window_is_not_a_trace_window(self):
+        with perf.collect() as stats:
+            assert obs.is_tracing() and obs.in_window()
+            assert perf.is_collecting() and not obs.window_open()
+        assert stats.records is None
+
+    def test_trace_window_keeps_no_counters(self):
+        with obs.trace() as window:
+            assert obs.window_open() and not perf.is_collecting()
+            perf.increment("ignored")
+        assert window.counters is None
+
+    def test_counting_window_derives_counters_from_records(self):
+        with perf.collect() as stats, obs.trace() as window:
+            obs.record("unify", obs.INFERENCE_TRACK, 0.0, 0.5, steps=4)
+            obs.event("superstep", obs.MACHINE_TRACK, words=7)
+            obs.record("infer", obs.INFERENCE_TRACK, 0.0, 0.25)
+        assert stats.counter("unify.calls") == 1
+        assert stats.counter("unify.steps") == 4
+        assert stats.counter("bsp.supersteps") == 1
+        assert stats.counter("bsp.words_exchanged") == 7
+        assert stats.timers == {"infer": 0.25}
+        assert [r.name for r in window.records] == ["unify", "superstep", "infer"]
+
+    def test_closing_one_view_leaves_the_other_open(self):
+        stats = perf.start()
+        collector = obs.start()
+        perf.stop(stats)
+        assert obs.window_open() and not perf.is_collecting()
+        obs.stop(collector)
+        assert not obs.in_window()
 
 
 class TestQueries:

@@ -244,9 +244,10 @@ class TestRenderVerbose:
 
 
 class TestPerfAndTracingTogether:
-    """Nested perf.collect() scopes interacting with the tracer: the two
-    stacks are independent, and every active collector of each kind sees
-    the instrumentation fired inside its window."""
+    """Nested perf.collect() scopes interacting with trace windows on the
+    one window stack: opening or closing a window of one view leaves the
+    others open, and every open window of each view sees the
+    instrumentation fired inside it."""
 
     def test_nested_perf_scopes_with_active_tracer(self):
         from repro import run_program
@@ -297,6 +298,82 @@ class TestPerfAndTracingTogether:
             run_program("mkpar (fun i -> i)", p=2)
         assert not perf.is_collecting()
         assert trace.spans("judgment")
+
+
+class TestOneChannel:
+    """Counting windows, trace windows and the metrics registry read one
+    record stream: each event is reported once and counted from it."""
+
+    SOURCE = (
+        "let twice = fun f -> fun x -> f (f x) in "
+        "let v = mkpar (fun i -> twice (fun j -> j + 1) i) in "
+        "(twice (fun b -> b) true, bcast 0 v)"
+    )
+
+    def test_counting_window_keeps_the_product_pass(self):
+        from repro.core import uf
+        from repro.core.prelude_env import prelude_env
+        from repro.lang.parser import parse_program
+
+        expr = parse_program(self.SOURCE)
+        env = prelude_env()
+        names = []
+        sink = names.append
+        obs.add_sink(sink)
+        try:
+            with perf.collect() as stats:
+                assert not obs.window_open()
+                uf.infer(expr, env)
+        finally:
+            obs.remove_sink(sink)
+        # The counts of the product pass, as they were when every site
+        # also incremented its counters directly.
+        assert stats.counter("infer.solve_checks") == 5
+        assert stats.counter("infer.nodes") == 34
+        assert stats.counter("unify.calls") == 10
+        assert stats.counter("unify.steps") == 37
+        assert stats.timers["infer"] > 0
+        assert stats.records is None
+        assert [r.name for r in names if r.name not in ("infer", "unify")] == []
+
+    def test_one_superstep_commit_feeds_every_consumer(self):
+        from repro.bsp import BspMachine, BspParams
+        from repro.obs import metrics
+
+        machine = BspMachine(BspParams(p=2, g=1.0, l=1.0))
+        metrics.enable()
+        try:
+            before = metrics.SUPERSTEPS_TOTAL.value()
+            with perf.collect() as stats, obs.trace() as window:
+                machine.exchange([[0, 3], [0, 0]])
+            committed = metrics.SUPERSTEPS_TOTAL.value() - before
+        finally:
+            metrics.disable()
+        assert stats.counter("bsp.supersteps") == 1
+        assert stats.counter("bsp.words_exchanged") == 3
+        assert [r.arg("words") for r in window.events("superstep")] == [3]
+        assert committed == 1
+
+    def test_cache_hit_counts_once_per_consumer(self):
+        from repro.service.cache import ShardedCache
+
+        def scraped_hits(cache):
+            family = cache.metric()
+            assert family.name == "repro_response_cache_requests_total"
+            return sum(
+                sample.value
+                for sample in family.samples
+                if sample.labels == (("result", "hit"),)
+            )
+
+        cache = ShardedCache(capacity=8, shards=2)
+        key = "ab" * 32
+        cache.put(key, 1)
+        before = scraped_hits(cache)
+        with perf.collect() as stats:
+            assert cache.get(key) == 1
+        assert stats.counter("service.cache.hit") == 1
+        assert scraped_hits(cache) - before == 1
 
 
 class TestStartStop:

@@ -103,8 +103,28 @@ class TestMetricsEndpoint:
         program = "1 + 2"
         post_json(server.port, "/v1/typecheck", {"program": program})
         post_json(server.port, "/v1/typecheck", {"program": program})
-        assert metrics.CACHE_REQUESTS_TOTAL.value(result="miss") >= 1
-        assert metrics.CACHE_REQUESTS_TOTAL.value(result="hit") >= 1
+        _, body, _ = fetch_metrics(server.port)
+        family = parse_prometheus(body)["repro_response_cache_requests_total"]
+        lookups = {labels["result"]: value for _, labels, value in family["samples"]}
+        assert lookups["miss"] >= 1
+        assert lookups["hit"] >= 1
+
+    def test_series_do_not_grow_with_p(self, server):
+        def series():
+            _, body, _ = fetch_metrics(server.port)
+            return {
+                (name, tuple(sorted(labels.items())))
+                for family in parse_prometheus(body).values()
+                for name, labels, _ in family["samples"]
+            }
+
+        program = "mkpar (fun i -> i)"
+        status, _ = post_json(server.port, "/v1/run", {"program": program, "p": 4})
+        assert status == 200
+        small = series()
+        status, _ = post_json(server.port, "/v1/run", {"program": program, "p": 4000})
+        assert status == 200
+        assert series() == small
 
     def test_superstep_histograms_fed_by_service_runs(self, server):
         before = metrics.SUPERSTEP_SECONDS.count(phase="exchange")

@@ -75,10 +75,10 @@ class TestBasics:
         assert body["server"]["max_concurrency"] == 8
         assert body["response_cache"]["capacity"] >= 4096
 
-    def test_stats_lists_simplify_and_satisfiable_caches(self, client):
+    def test_stats_lists_locality_and_satisfiable_caches(self, client):
         client.request("POST", "/v1/typecheck", {"program": "mkpar (fun i -> i)"})
         _, body, _ = client.request("GET", "/v1/stats")
-        for name in ("constraints.simplify", "constraints.is_satisfiable"):
+        for name in ("constraints.locality", "constraints.is_satisfiable"):
             assert name in body["solver_caches"]
             assert "hits" in body["solver_caches"][name]
 
