@@ -11,9 +11,10 @@
 # warm speedup over the tree evaluator (with bit-identical BspCost
 # tables and trace signatures), if the union-find inference engine no longer
 # delivers >= 5x over the substitution engine at AST size >= 500 (with
-# bit-identical types, constraints, derivations and errors), or if
+# bit-identical types, constraints, derivations and errors), if
 # the disabled instrumentation channel (no window, no metrics) costs more
-# than 1.05x of the uninstrumented machine.
+# than 1.05x of the uninstrumented machine, or if parsing the 80-binder
+# let chain costs more than 10x a bare master-regex scan of its source.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,3 +35,6 @@ python -m pytest benchmarks/bench_infer_engines.py -q --benchmark-disable
 
 echo "== disabled-instrumentation overhead guard =="
 python -m pytest benchmarks/bench_metrics.py -q --benchmark-disable
+
+echo "== front-end cost guard =="
+python -m pytest benchmarks/bench_frontend.py -q --benchmark-disable

@@ -45,11 +45,10 @@ is sized by measured reuse (DESIGN.md §11); tests change it with
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple
 
-from repro import obs, perf
+from repro import perf
 from repro.perf.memo import bounded_memo
 from repro.core.types import (
     NO_VARS,
@@ -465,27 +464,10 @@ def is_satisfiable(constraint: Constraint) -> bool:
 def is_unsatisfiable(constraint: Constraint) -> bool:
     """True when no instantiation can ever satisfy ``C`` — the paper's
     ``Solve(C) = False``, the condition under which a typing rule fails.
-
-    Inside a trace window (:func:`repro.obs.window_open`) every check
-    records a ``solve`` span on the inference track carrying the
-    verdict.  Inference takes its checked pass in a window, which checks
-    this side condition at every rule, so the spans line up one-to-one
-    under the ``judgment`` spans.  The product pass outside a window
-    checks only at generalization points and the root, and records
-    nothing here.
+    The inference engines report each such check they make
+    (:func:`repro.core.infer.solve_fails`).
     """
-    if not obs.window_open():
-        return not is_satisfiable(constraint)
-    started = time.perf_counter()
-    unsat = not is_satisfiable(constraint)
-    obs.record(
-        "solve",
-        obs.INFERENCE_TRACK,
-        started,
-        time.perf_counter() - started,
-        unsat=unsat,
-    )
-    return unsat
+    return not is_satisfiable(constraint)
 
 
 @bounded_memo(SOLVER_CACHE_SIZE, name="constraints.is_valid")

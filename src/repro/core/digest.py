@@ -33,42 +33,59 @@ from repro.lang.ast import Expr, UnitType
 DIGEST_VERSION = "bsml-digest-v1"
 
 
-#: Per AST class: its opening token and its ``(field name, ":name")``
-#: pairs in reverse declaration order (the order they are pushed).
-_LAYOUTS: Dict[type, Tuple[str, Tuple[Tuple[str, str], ...]]] = {}
+#: Per AST class, its emit plan: the opening token, the first field's
+#: ``(name, ":name")`` (None for a class without fields) and the other
+#: fields' pairs in reverse declaration order (the order they are pushed).
+_Plan = Tuple[str, Optional[Tuple[str, str]], Tuple[Tuple[str, str], ...]]
+_PLANS: Dict[type, _Plan] = {}
 
 
-def _layout(cls: type) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
-    layout = _LAYOUTS.get(cls)
-    if layout is None:
+def _plan(cls: type) -> _Plan:
+    plan = _PLANS.get(cls)
+    if plan is None:
         pairs = tuple((field.name, f":{field.name}") for field in fields(cls))
-        layout = _LAYOUTS[cls] = (f"({cls.__name__}", pairs[::-1])
-    return layout
+        first = pairs[0] if pairs else None
+        plan = _PLANS[cls] = (f"({cls.__name__}", first, pairs[:0:-1])
+    return plan
 
 
 def _tokens(node: Any) -> List[str]:
     """Canonical token stream of an AST (or type-syntax) tree, iterative
-    so deep programs need no recursion headroom."""
+    so deep programs need no recursion headroom.
+
+    A node's opening token and its first field's label are emitted at
+    once, and so is that field's value when it is a name (``Var``,
+    ``Let``, ``Fun``, ``Prim``); the rest is pushed.
+    """
     tokens: List[str] = []
     emit = tokens.append
     stack = [node]
     push = stack.append
     pop = stack.pop
+    plans = _PLANS
     while stack:
         item = pop()
-        if isinstance(item, str):  # a control token pushed below, or a name
+        if type(item) is str:  # a control token pushed below, or a name
             emit(item)
             continue
-        layout = _LAYOUTS.get(type(item))
-        if layout is None and is_dataclass(item) and not isinstance(item, type):
-            layout = _layout(type(item))
-        if layout is not None:
-            opening, pairs = layout
+        plan = plans.get(type(item))
+        if plan is None and is_dataclass(item) and not isinstance(item, type):
+            plan = _plan(type(item))
+        if plan is not None:
+            opening, first, rest = plan
             emit(opening)
             push(")")
-            for name, label in pairs:
+            for name, label in rest:
                 push(getattr(item, name))
                 push(label)
+            if first is not None:
+                name, label = first
+                emit(label)
+                value = getattr(item, name)
+                if type(value) is str:
+                    emit(value)
+                else:
+                    push(value)
         elif isinstance(item, tuple):
             emit("(tuple")
             push(")")

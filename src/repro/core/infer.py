@@ -19,12 +19,14 @@ judgements of Figures 8, 9 and 10 can be rendered verbatim.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro import obs, perf
 from repro.core.constraints import (
     FALSE,
+    Constraint,
     basic_constraint,
     conj,
     imp,
@@ -160,8 +162,7 @@ class Inferencer:
     ) -> Tuple[ConstrainedType, Derivation]:
         """Fail the rule if its constraint is unsatisfiable (Solve = False)."""
         resolved = self._resolve(ct)
-        perf.increment("infer.solve_checks")
-        if is_unsatisfiable(resolved.constraint):
+        if solve_fails(resolved.constraint):
             failure = Derivation(rule, expr, None, premises, note)
             raise_nesting(rule, expr, resolved, failure)
         return resolved, Derivation(rule, expr, resolved, premises, note)
@@ -461,6 +462,27 @@ def type_expr_to_type(
     if isinstance(annotation, TERef):
         return TRef(type_expr_to_type(annotation.content, mapping, fresh))
     raise TypeError(f"type_expr_to_type: unknown node {type(annotation).__name__}")
+
+
+def solve_fails(constraint: Constraint) -> bool:
+    """The side condition of a typing rule: ``Solve(C) = False``.
+
+    Each check reports once: inside a window (:func:`repro.obs.in_window`)
+    it records a ``solve`` span on the inference track carrying the
+    verdict, from which counting windows derive ``infer.solve_checks``.
+    """
+    if not obs.in_window():
+        return is_unsatisfiable(constraint)
+    started = time.perf_counter()
+    unsat = is_unsatisfiable(constraint)
+    obs.record(
+        "solve",
+        obs.INFERENCE_TRACK,
+        started,
+        time.perf_counter() - started,
+        unsat=unsat,
+    )
+    return unsat
 
 
 def raise_nesting(

@@ -81,7 +81,6 @@ from repro.core.constraints import (
     conj_all,
     constraint_atoms,
     imp,
-    is_unsatisfiable,
     locality,
 )
 from repro.core.errors import (
@@ -91,7 +90,7 @@ from repro.core.errors import (
     UnificationError,
     UnknownPrimitiveError,
 )
-from repro.core.infer import Derivation, raise_nesting, type_expr_to_type
+from repro.core.infer import Derivation, raise_nesting, solve_fails, type_expr_to_type
 from repro.core.initial_env import constant_scheme, primitive_scheme
 from repro.core.normalize import prune_constrained
 from repro.core.schemes import (
@@ -561,8 +560,7 @@ class UFInferencer:
         if not (self.checked or point):
             return ct, None
         resolved = self._resolve(ct)
-        perf.increment("infer.solve_checks")
-        if is_unsatisfiable(resolved.constraint):
+        if solve_fails(resolved.constraint):
             failure = Derivation(rule, expr, None, premises, note)
             raise_nesting(rule, expr, resolved, failure)
         if not self.checked:

@@ -18,17 +18,23 @@ A type variable such as ``'a`` lexes as a ``TYVAR`` token, which only a
 type annotation ``(e : 'a -> 'a)`` accepts; as an expression or binder
 name it is a syntax error.  ``x'`` is an ordinary identifier.
 
-The lexer makes one master-regex match per token: the match takes the
-whitespace before the token with it, and line/column come from counting
-the newlines between the previous token and this one.  Comments are
-found by the same match and then scanned for their (nested) end.
+:class:`Scan` makes one pass of a master regex over the source: each
+match takes the whitespace before a token with it, and the token's kind,
+text and start offset go into three flat lists, so no token or location
+object is made per token.  A :class:`~repro.lang.ast.Loc` is computed
+from an offset and a table of line starts, only for the tokens that need
+one: a parsed node's location or an error's position.  Comments are
+found by the same match and then scanned for their (nested) end.  The
+parser reads the lists directly; :func:`tokenize` is the view of a scan
+as :class:`Token` objects.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from enum import Enum, auto, unique
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 from repro.lang.ast import Loc
 from repro.lang.errors import LexError
@@ -98,15 +104,15 @@ _TOKEN_RE = re.compile(
     r"|(?P<bad>[\s\S]))"
 )
 
+#: The group numbers of the token classes: a match's ``lastindex`` is
+#: the class it found.
+_COMMENT, _BADINT, _INT, _WORD, _TYVAR, _SYMBOL, _EOF = (
+    _TOKEN_RE.groupindex[name]
+    for name in ("comment", "badint", "int", "word", "tyvar", "symbol", "eof")
+)
+
 #: The delimiters a (nested) comment body is scanned for.
 _COMMENT_RE = re.compile(r"\(\*|\*\)")
-
-#: Kinds of the non-word token classes.
-_GROUP_KINDS = {
-    "int": TokenKind.INT,
-    "tyvar": TokenKind.TYVAR,
-    "symbol": TokenKind.SYMBOL,
-}
 
 #: Words that are not identifiers; ``mod`` is a binary operator spelled
 #: as a word.
@@ -127,65 +133,113 @@ class Token(NamedTuple):
         return repr(self.text)
 
 
-class Lexer:
-    """A one-pass lexer over a source string."""
+#: ``Loc(line, column)`` without the named tuple's Python-level
+#: ``__new__``: the parser makes one per located node.
+_new_loc = tuple.__new__
 
-    def __init__(self, source: str, filename: str = "<input>") -> None:
-        self.source = source
-        self.filename = filename
 
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token of the input, ending with a single EOF token.
+class Scan:
+    """The tokens of one source as three flat lists, ending with EOF.
+
+    ``kinds[i]``, ``texts[i]`` and ``starts[i]`` are the kind, text and
+    start offset of token ``i``.  No token or location object is made
+    per token: :meth:`loc` computes a location from the offset and a
+    table of line starts, only for the tokens that need one.
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "line_starts")
+
+    def __init__(self, source: str) -> None:
+        kinds: List[TokenKind] = []
+        texts: List[str] = []
+        starts: List[int] = []
+        self.kinds, self.texts, self.starts = kinds, texts, starts
+        self.line_starts = _line_starts(source)
+        add_kind, add_text, add_start = kinds.append, texts.append, starts.append
+        word_kind = _WORD_KINDS.get
+        ident, symbol, integer = TokenKind.IDENT, TokenKind.SYMBOL, TokenKind.INT
+        pos = 0
+        while True:
+            # ``finditer`` restarts only after a comment: every other
+            # match starts where the previous one ended.
+            for found in _TOKEN_RE.finditer(source, pos):
+                group = found.lastindex
+                if group == _WORD:
+                    text = found[group]
+                    add_kind(word_kind(text, ident))
+                elif group == _SYMBOL:
+                    text = found[group]
+                    add_kind(symbol)
+                elif group == _INT:
+                    text = found[group]
+                    add_kind(integer)
+                elif group == _TYVAR:
+                    text = found[group]
+                    add_kind(TokenKind.TYVAR)
+                elif group == _COMMENT:
+                    pos = _comment_end(source, found.start(group))
+                    break
+                elif group == _EOF:
+                    add_kind(TokenKind.EOF)
+                    add_text("")
+                    add_start(found.start(group))
+                    return
+                elif group == _BADINT:
+                    loc = _error_loc(source, found.start(group))
+                    raise LexError(f"malformed number {found[group]!r}", loc)
+                else:
+                    start = found.start(group)
+                    raise LexError(
+                        f"unexpected character {source[start]!r}",
+                        _error_loc(source, start),
+                    )
+                add_text(text)
+                add_start(found.start(group))
+
+    def loc(self, index: int) -> Loc:
+        """The location of token ``index``.
 
         Tabs and carriage returns count as one column each; a column is
         the offset from the character after the last newline.
         """
-        source = self.source
-        match = _TOKEN_RE.match
-        count = source.count
-        ident = TokenKind.IDENT
-        # Newlines are counted from ``mark``, the start of the previous
-        # token or comment, so a comment's own lines count at the next
-        # match.
-        pos = mark = 0
-        line, line_start = 1, 0
-        while True:
-            found = match(source, pos)
-            group = found.lastgroup
-            start = found.start(group)
-            newlines = count("\n", mark, start)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", mark, start) + 1
-            mark = start
-            loc = Loc(line, start - line_start + 1)
-            pos = found.end()
-            if group == "word":
-                text = found[group]
-                yield Token(_WORD_KINDS.get(text, ident), text, loc)
-            elif group in _GROUP_KINDS:
-                yield Token(_GROUP_KINDS[group], found[group], loc)
-            elif group == "comment":
-                pos = _comment_end(source, start, loc)
-            elif group == "eof":
-                yield Token(TokenKind.EOF, "", loc)
-                return
-            elif group == "badint":
-                raise LexError(f"malformed number {found[group]!r}", loc)
-            else:
-                raise LexError(f"unexpected character {source[start]!r}", loc)
+        offset = self.starts[index]
+        line_starts = self.line_starts
+        line = bisect_right(line_starts, offset)
+        return _new_loc(Loc, (line, offset - line_starts[line - 1] + 1))
+
+    def token(self, index: int) -> Token:
+        """Token ``index`` as a :class:`Token`."""
+        return Token(self.kinds[index], self.texts[index], self.loc(index))
 
 
-def _comment_end(source: str, start: int, loc: Loc) -> int:
+def _line_starts(source: str) -> List[int]:
+    """The offset at which each line starts; only a newline ends a line."""
+    starts = [0]
+    end = source.find("\n")
+    while end >= 0:
+        starts.append(end + 1)
+        end = source.find("\n", end + 1)
+    return starts
+
+
+def _error_loc(source: str, offset: int) -> Loc:
+    """The location of a lexical error at ``offset``.  The offending text
+    never becomes a token, so :meth:`Scan.loc`, which takes a token
+    index, cannot place it; counting newlines can."""
+    return Loc(source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset))
+
+
+def _comment_end(source: str, start: int) -> int:
     """The offset just past the comment opening at ``start``; comments nest."""
     depth = 0
     for delimiter in _COMMENT_RE.finditer(source, start):
         depth += 1 if delimiter.group() == "(*" else -1
         if depth == 0:
             return delimiter.end()
-    raise LexError("unterminated comment", loc)
+    raise LexError("unterminated comment", _error_loc(source, start))
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Tokenize ``source`` into a list ending with an EOF token."""
-    return list(Lexer(source, filename).tokens())
+    scan = Scan(source)
+    return [scan.token(index) for index in range(len(scan.texts))]

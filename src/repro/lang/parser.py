@@ -22,6 +22,14 @@ Binary operators are sugar for the paper's pair-taking primitives:
 ``e1 + e2`` parses to ``App(Prim('+'), Pair(e1, e2))``.  Identifiers that
 name primitives (``mkpar``, ``put``, ``fst``, ...) parse to :class:`Prim`
 nodes and cannot be rebound.
+
+The parser reads the flat token lists of one :class:`~repro.lang.lexer.Scan`
+by index, so it allocates once per AST node and never once per token: a
+node's :class:`~repro.lang.ast.Loc` is computed from its token's offset
+when the node is built, and an error's when it is raised.  From
+``parse_expr`` down to an atom is four calls: ``parse_expr`` (keyword
+forms, tuples, ``;``), ``_parse_binary``, ``_parse_unary`` (negation and
+application) and ``_parse_atom``.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from repro.lang.type_syntax import (
     TypeExpr,
 )
 from repro.lang.limits import deep_recursion
-from repro.lang.lexer import Token, TokenKind, tokenize
+from repro.lang.lexer import Scan, TokenKind
 
 #: Identifiers that always denote primitive operations.
 PRIMITIVE_NAMES = frozenset(
@@ -100,30 +108,30 @@ _BINARY_LEVELS = {
 }
 _TIGHTEST = max(level for level, _ in _BINARY_LEVELS.values())
 
+_IDENT = TokenKind.IDENT
+_INT = TokenKind.INT
+
 #: Tokens that can begin an atom, used to decide when application stops.
-_ATOM_STARTERS = (TokenKind.INT, TokenKind.IDENT)
+_ATOM_STARTERS = (_INT, _IDENT)
 _ATOM_STARTER_TEXTS = frozenset(("true", "false", "(", "!"))
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], filename: str) -> None:
-        self.tokens = tokens
-        self.filename = filename
+    """Recursive descent over the flat token lists of a :class:`Scan`.
+
+    The parser holds a token index, not tokens: it compares texts and
+    kinds in place, and asks the scan for a location only when it
+    builds a node that carries one or raises an error.
+    """
+
+    def __init__(self, scan: Scan) -> None:
+        self.scan = scan
+        self.kinds = scan.kinds
+        self.texts = scan.texts
+        self.loc = scan.loc
         self.index = 0
 
     # -- token plumbing ---------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> Token:
-        # ``index`` never passes the EOF token, so only lookahead clamps.
-        if offset:
-            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
-        return self.tokens[self.index]
-
-    def _next(self) -> Token:
-        token = self.tokens[self.index]
-        if token.kind is not TokenKind.EOF:
-            self.index += 1
-        return token
 
     def _at(self, text: str) -> bool:
         """Whether the next token is the keyword or symbol ``text``.
@@ -131,61 +139,71 @@ class _Parser:
         No identifier, integer or EOF token can spell a keyword or a
         symbol, so the text alone decides.
         """
-        return self.tokens[self.index].text == text
+        return self.texts[self.index] == text
 
-    def _expect(self, text: str) -> Token:
-        token = self.tokens[self.index]
-        if token.text != text:
-            raise ParseError(f"expected {text!r}, found {token}", token.loc)
-        self.index += 1
-        return token
+    def _unexpected(self, expected: str) -> ParseError:
+        """``<expected>, found <next token>`` at the next token."""
+        token = self.scan.token(self.index)
+        return ParseError(f"{expected}, found {token}", token.loc)
 
-    def _expect_binder(self) -> Token:
-        token = self._peek()
-        if token.kind is not TokenKind.IDENT:
-            raise ParseError(f"expected an identifier, found {token}", token.loc)
-        if token.text in PRIMITIVE_NAMES:
-            raise ParseError(
-                f"cannot rebind the primitive {token.text!r}", token.loc
-            )
-        return self._next()
+    def _expect(self, text: str) -> int:
+        """Consume the keyword or symbol ``text``; its token index."""
+        index = self.index
+        if self.texts[index] != text:
+            raise self._unexpected(f"expected {text!r}")
+        self.index = index + 1
+        return index
+
+    def _expect_binder(self) -> str:
+        index = self.index
+        if self.kinds[index] is not _IDENT:
+            raise self._unexpected("expected an identifier")
+        text = self.texts[index]
+        if text in PRIMITIVE_NAMES:
+            raise ParseError(f"cannot rebind the primitive {text!r}", self.loc(index))
+        self.index = index + 1
+        return text
+
+    def _binders(self) -> List[str]:
+        """``IDENT*``: the binders up to the next non-identifier."""
+        names = []
+        kinds = self.kinds
+        while kinds[self.index] is _IDENT:
+            names.append(self._expect_binder())
+        return names
 
     # -- expressions ------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        expr = self._parse_nonseq()
+        texts = self.texts
+        keyword = _KEYWORD_EXPRS.get(texts[self.index])
+        if keyword is not None:
+            expr = keyword(self)
+        else:
+            expr = self._parse_binary(0)
+            if texts[self.index] == ",":
+                expr = self._parse_tuple(expr)
         # Sequencing ``e1 ; e2`` (imperative extension) desugars to
         # ``let _ = e1 in e2``; right associative.
-        if self._at(";"):
-            loc = self._next().loc
+        index = self.index
+        if texts[index] == ";":
+            self.index = index + 1
             rest = self.parse_expr()
-            return _with_loc(Let("_", expr, rest), loc)
+            return _with_loc(Let("_", expr, rest), self.loc(index))
         return expr
-
-    def _parse_nonseq(self) -> Expr:
-        text = self.tokens[self.index].text
-        if text == "fun":
-            return self._parse_fun()
-        if text == "let":
-            return self._parse_let()
-        if text == "if":
-            return self._parse_if()
-        if text == "case":
-            return self._parse_case()
-        return self._parse_tuple()
 
     def _parse_case(self) -> Expr:
         """``case e of inl x -> e1 | inr y -> e2`` (sum-type extension)."""
-        loc = self._expect("case").loc
+        loc = self.loc(self._expect("case"))
         scrutinee = self.parse_expr()
         self._expect("of")
         self._expect("inl")
-        left_name = self._expect_binder().text
+        left_name = self._expect_binder()
         self._expect("->")
         left_body = self.parse_expr()
         self._expect("|")
         self._expect("inr")
-        right_name = self._expect_binder().text
+        right_name = self._expect_binder()
         self._expect("->")
         right_body = self.parse_expr()
         return _with_loc(
@@ -193,10 +211,9 @@ class _Parser:
         )
 
     def _parse_fun(self) -> Expr:
-        loc = self._expect("fun").loc
-        params = [self._expect_binder().text]
-        while self._peek().kind is TokenKind.IDENT:
-            params.append(self._expect_binder().text)
+        loc = self.loc(self._expect("fun"))
+        params = [self._expect_binder()]
+        params += self._binders()
         self._expect("->")
         body = self.parse_expr()
         return _with_loc(fun(tuple(params), body), loc)
@@ -209,11 +226,9 @@ class _Parser:
     def _parse_binding(self) -> TupleT[Loc, str, Expr]:
         """``'let' IDENT IDENT* '=' expr``, shared by ``let … in`` and
         top-level definitions."""
-        loc = self._expect("let").loc
-        name = self._expect_binder().text
-        params = []
-        while self._peek().kind is TokenKind.IDENT:
-            params.append(self._expect_binder().text)
+        loc = self.loc(self._expect("let"))
+        name = self._expect_binder()
+        params = self._binders()
         self._expect("=")
         bound = self.parse_expr()
         if params:
@@ -221,11 +236,11 @@ class _Parser:
         return loc, name, bound
 
     def _parse_if(self) -> Expr:
-        loc = self._expect("if").loc
+        loc = self.loc(self._expect("if"))
         cond = self.parse_expr()
         proc: Optional[Expr] = None
         if self._at("at"):
-            self._next()
+            self.index += 1
             proc = self.parse_expr()
         self._expect("then")
         then_branch = self.parse_expr()
@@ -235,13 +250,11 @@ class _Parser:
             return _with_loc(If(cond, then_branch, else_branch), loc)
         return _with_loc(IfAt(cond, proc, then_branch, else_branch), loc)
 
-    def _parse_tuple(self) -> Expr:
-        first = self._parse_binary(0)
-        if not self._at(","):
-            return first
+    def _parse_tuple(self, first: Expr) -> Expr:
+        """``first ( ',' binary )+``, the next token being a comma."""
         items = [first]
         while self._at(","):
-            self._next()
+            self.index += 1
             items.append(self._parse_binary(0))
         if len(items) == 2:
             return Pair(items[0], items[1])
@@ -260,103 +273,105 @@ class _Parser:
         """
         left = self._parse_unary()
         ceiling = _TIGHTEST
-        tokens = self.tokens
+        texts = self.texts
         while True:
-            token = tokens[self.index]
-            entry = _BINARY_LEVELS.get(token.text)
+            index = self.index
+            op = texts[index]
+            entry = _BINARY_LEVELS.get(op)
             if entry is None:
                 return left
             level, assoc = entry
             if level < min_level or level > ceiling:
                 return left
-            self.index += 1
+            self.index = index + 1
             right = self._parse_binary(level if assoc == _RIGHT else level + 1)
-            left = self._binop(token.text, left, right, token.loc)
+            left = self._binop(op, left, right, self.loc(index))
             ceiling = level - 1 if assoc == _NONASSOC else level
 
     def _parse_unary(self) -> Expr:
-        if self._at("-"):
-            token = self._next()
+        """``'-' unary | app``, where ``app := atom atom*`` (left
+        associative)."""
+        index = self.index
+        if self.texts[index] == "-":
+            self.index = index + 1
             operand = self._parse_unary()
+            loc = self.loc(index)
             # A negated literal is a (negative) constant, so that pretty
             # printing Const(-6) as "-6" round-trips; anything else is the
             # usual 0 - e desugaring.
             if isinstance(operand, Const) and isinstance(operand.value, int) and not isinstance(operand.value, bool):
-                return _with_loc(Const(-operand.value), token.loc)
-            return self._binop("-", _with_loc(Const(0), token.loc), operand, token.loc)
-        return self._parse_app()
-
-    def _parse_app(self) -> Expr:
+                return _with_loc(Const(-operand.value), loc)
+            return self._binop("-", _with_loc(Const(0), loc), operand, loc)
         expr = self._parse_atom()
-        tokens = self.tokens
+        kinds, texts = self.kinds, self.texts
         while True:
-            token = tokens[self.index]
+            index = self.index
             if (
-                token.kind not in _ATOM_STARTERS
-                and token.text not in _ATOM_STARTER_TEXTS
+                kinds[index] not in _ATOM_STARTERS
+                and texts[index] not in _ATOM_STARTER_TEXTS
             ):
                 return expr
             expr = App(expr, self._parse_atom())
 
     def _parse_atom(self) -> Expr:
-        token = self.tokens[self.index]
-        kind = token.kind
-        if kind is TokenKind.IDENT:
-            self.index += 1
-            if token.text in PRIMITIVE_NAMES:
-                return _with_loc(Prim(token.text), token.loc)
-            return _with_loc(Var(token.text), token.loc)
-        if kind is TokenKind.INT:
-            self.index += 1
-            return _with_loc(Const(int(token.text)), token.loc)
-        text = token.text
+        index = self.index
+        kind = self.kinds[index]
+        text = self.texts[index]
+        if kind is _IDENT:
+            self.index = index + 1
+            if text in PRIMITIVE_NAMES:
+                return _with_loc(Prim(text), self.loc(index))
+            return _with_loc(Var(text), self.loc(index))
+        if kind is _INT:
+            self.index = index + 1
+            return _with_loc(Const(int(text)), self.loc(index))
         if text == "(":
-            self.index += 1
+            self.index = index + 1
             if self._at(")"):
                 self.index += 1
-                return _with_loc(Const(UNIT), token.loc)
+                return _with_loc(Const(UNIT), self.loc(index))
             # Operator section ``(+)``: the operator as a first-class value.
-            head = self.tokens[self.index]
+            head = self.texts[index + 1]
             if (
-                head.text in BINARY_OPERATORS or head.text == "!"
-            ) and self._peek(1).text == ")":
+                head in BINARY_OPERATORS or head == "!"
+            ) and self.texts[index + 2] == ")":
                 self.index += 2
-                return _with_loc(Prim(head.text), token.loc)
+                return _with_loc(Prim(head), self.loc(index))
             inner = self.parse_expr()
             if self._at(":"):
                 self.index += 1
                 annotation = self._parse_type()
                 self._expect(")")
-                return _with_loc(Annot(inner, annotation), token.loc)
+                return _with_loc(Annot(inner, annotation), self.loc(index))
             self._expect(")")
             return inner
         if text == "true" or text == "false":
-            self.index += 1
-            return _with_loc(Const(text == "true"), token.loc)
+            self.index = index + 1
+            return _with_loc(Const(text == "true"), self.loc(index))
         if text == "!":
-            self.index += 1
+            self.index = index + 1
             target = self._parse_atom()
-            return _with_loc(App(Prim("!"), target), token.loc)
+            return _with_loc(App(Prim("!"), target), self.loc(index))
         if text == "inl" or text == "inr":
-            self.index += 1
+            self.index = index + 1
             payload = self._parse_atom()
             node = Inl(payload) if text == "inl" else Inr(payload)
-            return _with_loc(node, token.loc)
-        raise ParseError(f"expected an expression, found {token}", token.loc)
+            return _with_loc(node, self.loc(index))
+        raise self._unexpected("expected an expression")
 
     # -- types (ascriptions) ------------------------------------------------
 
     def _parse_type(self) -> TypeExpr:
         left = self._parse_type_product()
         if self._at("->"):
-            self._next()
+            self.index += 1
             return TEArrow(left, self._parse_type())
         return left
 
     def _parse_type_product(self) -> TypeExpr:
         items = [self._parse_type_postfix()]
         while self._at("*"):
-            self._next()
+            self.index += 1
             items.append(self._parse_type_postfix())
         if len(items) == 1:
             return items[0]
@@ -364,41 +379,40 @@ class _Parser:
 
     def _parse_type_postfix(self) -> TypeExpr:
         ty = self._parse_type_atom()
-        while (
-            self._peek().kind is TokenKind.IDENT
-            and self._peek().text in ("par", "ref")
-        ):
-            word = self._next().text
+        # Only an identifier can spell ``par`` or ``ref``.
+        while self.texts[self.index] in ("par", "ref"):
+            word = self.texts[self.index]
+            self.index += 1
             ty = TEPar(ty) if word == "par" else TERef(ty)
         return ty
 
     def _parse_type_atom(self) -> TypeExpr:
-        token = self._peek()
-        if token.kind is TokenKind.TYVAR:
-            self._next()
-            return TEVar(token.text[1:])
-        if token.kind is TokenKind.IDENT:
-            if token.text in BASE_TYPE_NAMES:
-                self._next()
-                return TEBase(token.text)
+        index = self.index
+        kind = self.kinds[index]
+        text = self.texts[index]
+        if kind is TokenKind.TYVAR:
+            self.index = index + 1
+            return TEVar(text[1:])
+        if kind is _IDENT:
+            if text in BASE_TYPE_NAMES:
+                self.index = index + 1
+                return TEBase(text)
+            token = self.scan.token(index)
             raise ParseError(f"unknown type name {token}", token.loc)
-        if self._at("("):
-            self._next()
+        if text == "(":
+            self.index = index + 1
             first = self._parse_type()
             if self._at(","):
-                self._next()
+                self.index += 1
                 second = self._parse_type()
                 self._expect(")")
-                word = self._peek()
-                if word.kind is TokenKind.IDENT and word.text == "sum":
-                    self._next()
+                if self.texts[self.index] == "sum":
+                    self.index += 1
                     return TESum(first, second)
-                raise ParseError(
-                    f"expected 'sum' after a type pair, found {word}", word.loc
-                )
+                raise self._unexpected("expected 'sum' after a type pair")
             self._expect(")")
             return first
-        raise ParseError(f"expected a type, found {token}", token.loc)
+        raise self._unexpected("expected a type")
 
     # -- programs ---------------------------------------------------------
 
@@ -413,8 +427,8 @@ class _Parser:
         definitions: List[TupleT[str, Expr]] = []
         while True:
             while self._at(";;"):
-                self._next()
-            if self._peek().kind is TokenKind.EOF:
+                self.index += 1
+            if self.kinds[self.index] is TokenKind.EOF:
                 return definitions, None
             if self._at("let"):
                 # A definition unless ``in`` follows the bound, which is
@@ -423,25 +437,34 @@ class _Parser:
                 if not self._at("in"):
                     definitions.append((name, bound))
                     continue
-                self._next()
+                self.index += 1
                 final = _with_loc(Let(name, bound, self.parse_expr()), loc)
             else:
                 final = self.parse_expr()
             while self._at(";;"):
-                self._next()
+                self.index += 1
             self._expect_eof()
             return definitions, final
 
     def _expect_eof(self) -> None:
-        token = self._peek()
-        if token.kind is not TokenKind.EOF:
+        if self.kinds[self.index] is not TokenKind.EOF:
+            token = self.scan.token(self.index)
             raise ParseError(f"unexpected {token} after expression", token.loc)
+
+
+#: The expression forms a keyword opens, by keyword.
+_KEYWORD_EXPRS = {
+    "fun": _Parser._parse_fun,
+    "let": _Parser._parse_let,
+    "if": _Parser._parse_if,
+    "case": _Parser._parse_case,
+}
 
 
 def parse_expression(source: str, filename: str = "<input>") -> Expr:
     """Parse a single mini-BSML expression from ``source``."""
     with deep_recursion():
-        parser = _Parser(tokenize(source, filename), filename)
+        parser = _Parser(Scan(source))
         expr = parser.parse_expr()
         parser._expect_eof()
         return expr
@@ -452,7 +475,7 @@ def parse_toplevel(
 ) -> TupleT[List[TupleT[str, Expr]], Optional[Expr]]:
     """Parse top-level definitions and the optional final expression."""
     with deep_recursion():
-        return _Parser(tokenize(source, filename), filename).parse_program()
+        return _Parser(Scan(source)).parse_program()
 
 
 def parse_definitions(

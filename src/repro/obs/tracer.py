@@ -6,8 +6,9 @@ pipeline reports an event once, as a :class:`TraceRecord` — a **span**
 on a named **track**: one per BSP process id (``proc 0`` ...), the
 ``machine`` track (superstep phases and commits with their committed
 :class:`~repro.bsp.cost.BspCost` row) and the ``inference`` track (the
-``infer`` span of each run and, inside a trace window only, the
-per-judgment spans and the ``Solve``/unification work under them).
+``infer`` span of each run; inside any window, the ``Solve`` checks
+and unifications; inside a trace window only, the per-judgment spans
+above them).
 
 Three consumers read that one stream.  A **trace window**
 (:class:`Trace`, :func:`trace`) keeps every record.  A **counting
@@ -24,9 +25,10 @@ into each other's windows, while a sink aggregates across all of them.
 Each site guards itself with one test, a truthiness check when nothing
 listens: :func:`is_tracing` (any window or sink) for the machine's
 phases and the ``infer`` span, :func:`in_window` (any window) for
-unification, and :func:`window_open` (a trace window) for the per-node
-inference spans and per-process tasks — so a counting window or a sink
-alone does not turn on the checked inference pass.
+unification and ``Solve`` checks, and :func:`window_open` (a trace
+window) for the per-judgment spans and per-process tasks — so a
+counting window or a sink alone does not turn on the checked inference
+pass.
 
 Timestamps are ``time.perf_counter()`` values, so worker-measured task
 timings and coordinator-measured phase spans share one timeline;
@@ -72,6 +74,7 @@ DERIVED_COUNTERS: Dict[str, Tuple[Tuple[str, Optional[str]], ...]] = {
     "superstep": (("bsp.supersteps", None), ("bsp.words_exchanged", "words")),
     "unify": (("unify.calls", None), ("unify.steps", "steps")),
     "judgment": (("infer.nodes", None),),
+    "solve": (("infer.solve_checks", None),),
 }
 
 #: Spans whose durations a counting window accumulates under a timer of
@@ -181,9 +184,8 @@ class Trace(Window):
         ordered.extend(track for _, track in procs)
         if INFERENCE_TRACK in seen:
             ordered.append(INFERENCE_TRACK)
-        ordered.extend(
-            sorted(track for track in seen if track not in set(ordered))
-        )
+        placed = set(ordered)
+        ordered.extend(sorted(track for track in seen if track not in placed))
         return ordered
 
     def abstract_signature(self) -> Tuple[Tuple[str, str, Tuple], ...]:
@@ -260,17 +262,18 @@ def is_tracing() -> bool:
 
 def in_window() -> bool:
     """True when a window of either view is open in this context (the
-    unification sites: a sink alone gets no ``unify`` records)."""
+    unification and ``Solve`` sites: a sink alone gets no ``unify`` or
+    ``solve`` records)."""
     return bool(_WINDOWS.get())
 
 
 def window_open() -> bool:
     """True when a trace window is open in this context.
 
-    The per-node inference sites (``judgment``, ``solve``) and the
-    per-process ``task`` spans test this rather than :func:`is_tracing`:
-    a counting window or a sink alone (the server's metrics) gets one
-    ``infer`` span per inference, not one record per typing judgment."""
+    The per-judgment inference spans and the per-process ``task``
+    spans test this rather than :func:`is_tracing`: a counting window
+    or a sink alone (the server's metrics) gets one ``infer`` span per
+    inference, not one record per typing judgment."""
     for entry in _WINDOWS.get():
         if entry.records is not None:
             return True

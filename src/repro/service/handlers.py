@@ -203,6 +203,8 @@ def _parse(source: Any) -> Expr:
         return parse_program(source)
     except (LexError, ParseError) as error:
         raise RequestError(400, "parse", str(error)) from error
+    except RecursionError as error:
+        raise RequestError(422, "recursion", "program exceeds parsing depth") from error
 
 
 class ServiceCore:

@@ -167,6 +167,20 @@ class TestQueries:
             obs.event("e", "zcustom")
         assert t.tracks() == ["machine", "proc 2", "proc 10", "inference", "zcustom"]
 
+    def test_track_order_is_not_quadratic_in_processes(self):
+        # A run has one track per process; ordering them once was
+        # O(p^2) (seconds at p = 10,000).
+        p = 10_000
+        with obs.trace() as t:
+            for proc in reversed(range(p)):
+                obs.event("task", obs.process_track(proc))
+            obs.event("other", "zcustom")
+        started = time.perf_counter()
+        tracks = t.tracks()
+        elapsed = time.perf_counter() - started
+        assert tracks == [obs.process_track(proc) for proc in range(p)] + ["zcustom"]
+        assert elapsed < 1.0, f"tracks() took {elapsed:.2f} s"
+
 
 class TestAbstractSignature:
     def test_measured_args_are_filtered(self):

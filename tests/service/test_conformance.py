@@ -7,6 +7,7 @@ are in flight.
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import os
 import threading
@@ -95,8 +96,27 @@ def _sweep(handle, threads=16):
     return results
 
 
+def _held_until_inflight(handler, inflight: int):
+    """``handler`` whose first ``inflight`` calls wait for each other,
+    so that many requests are in flight at once whatever the schedule."""
+    barrier = threading.Barrier(inflight)
+    calls = itertools.count()
+
+    def held(payload, front_key=None):
+        if next(calls) < inflight:
+            barrier.wait(timeout=60)
+        return handler(payload, front_key)
+
+    return held
+
+
 def test_clean_sweep_matches_sequential_reference(sweep_service):
-    served = _sweep(sweep_service)
+    core = sweep_service.server.core
+    core.handle_run = _held_until_inflight(core.handle_run, 8)
+    try:
+        served = _sweep(sweep_service)
+    finally:
+        del core.handle_run
     for name, source in conformance_corpus():
         status, body = served[name]
         assert status == 200, f"{name}: {body}"

@@ -9,7 +9,9 @@ import threading
 
 import pytest
 
+from repro.lang.limits import RECURSION_LIMIT
 from repro.service import ServiceCore, start_in_background
+from repro.service.handlers import RequestError
 
 
 class TestBasics:
@@ -121,6 +123,25 @@ class TestCaching:
         assert body4["value"] != body8["value"]
 
 
+def _nested(levels: int) -> str:
+    """``1`` inside ``levels`` pairs of parentheses."""
+    return "(" * levels + "1" + ")" * levels
+
+
+class TestNestingDepth:
+    """A program nested past the parser's recursion headroom is a 422,
+    not a 500: through the core as through HTTP."""
+
+    @pytest.mark.parametrize("handler", ["handle_typecheck", "handle_run"])
+    def test_core_maps_recursion_to_422(self, handler):
+        core = ServiceCore()
+        with pytest.raises(RequestError) as error:
+            getattr(core, handler)({"program": _nested(RECURSION_LIMIT + 20_000)})
+        assert (error.value.status, error.value.kind) == (422, "recursion")
+        status, _, _ = getattr(core, handler)({"program": _nested(10_000)})
+        assert status == 200
+
+
 class TestErrorMapping:
     def test_parse_error_is_400(self, client):
         status, body, _ = client.request("POST", "/v1/run", {"program": "let = in"})
@@ -165,6 +186,16 @@ class TestErrorMapping:
         )
         assert status == 422
         assert body["error"]["kind"] == "type"
+
+    @pytest.mark.parametrize("route", ["/v1/typecheck", "/v1/run"])
+    def test_nesting_beyond_the_recursion_limit_is_422(self, client, route):
+        # Deeper than any parser can go in RECURSION_LIMIT frames, and
+        # still well under the 1 MiB body cap.
+        levels = RECURSION_LIMIT + 20_000
+        status, body, _ = client.request("POST", route, {"program": _nested(levels)})
+        assert (status, body["error"]["kind"]) == (422, "recursion")
+        status, body, _ = client.request("POST", route, {"program": _nested(10_000)})
+        assert status == 200, body
 
     def test_missing_program_is_400(self, client):
         status, body, _ = client.request("POST", "/v1/run", {})
