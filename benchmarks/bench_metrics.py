@@ -30,7 +30,6 @@ from contextlib import contextmanager
 from functools import partial
 
 from repro import obs
-from repro.bsp import executor as executor_mod
 from repro.bsp import machine as machine_mod
 from repro.bsp.machine import BspMachine
 from repro.bsp.params import BspParams
@@ -105,13 +104,13 @@ class _ObsStub:
 
 @contextmanager
 def _instrumentation_removed():
-    """Swap the machine/executor layers' ``obs`` binding for the stub."""
-    originals = (machine_mod.obs, executor_mod.obs)
-    machine_mod.obs = executor_mod.obs = _ObsStub
+    """Swap the machine layer's ``obs`` binding for the stub."""
+    original = machine_mod.obs
+    machine_mod.obs = _ObsStub
     try:
         yield
     finally:
-        machine_mod.obs, executor_mod.obs = originals
+        machine_mod.obs = original
 
 
 @contextmanager

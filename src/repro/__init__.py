@@ -84,9 +84,9 @@ def run_program(
 ) -> CostedResult:
     """Typecheck (unless ``typed=False``) and run a program with costs.
 
-    Runs on the sequential backend; the value and the abstract cost are
-    backend-independent (:func:`repro.testing.conform` checks ``thread``
-    against it).
+    Runs each computation phase in process order; the value and the
+    abstract cost do not depend on that order (the schedule axis of
+    :func:`repro.testing.conform` checks it).
 
     Returns a :class:`repro.semantics.CostedResult`: the value, the
     superstep-by-superstep BSP cost, and the totals under ``(p, g, l)``.

@@ -95,7 +95,7 @@ def _contains_vector(value: Any) -> bool:
     return False
 
 
-# -- per-process tasks for the execution backends ----------------------------
+# -- per-process tasks for the machine's computation phases ------------------
 #
 # Module-level functions bound with ``functools.partial``.  Each returns
 # ``(value, ops)``: one abstract op per component application, exactly
@@ -124,8 +124,9 @@ class Bsml:
         params: BspParams,
         machine: Optional[BspMachine] = None,
     ) -> None:
-        """``machine`` defaults to a fresh sequential one; pass a
-        machine built on another executor to run the primitives there."""
+        """``machine`` defaults to a fresh one; pass a machine of your
+        own (for instance one built with a test ``schedule``) to run the
+        primitives there."""
         if machine is None:
             machine = BspMachine(params)
         self.params = params
@@ -157,8 +158,8 @@ class Bsml:
     def mkpar(self, f: Callable[[int], Any]) -> ParVector:
         """``mkpar f`` holds ``f(i)`` on process ``i`` (asynchronous).
 
-        Runs on the machine's execution backend (one task per process);
-        the accounting — one op per component — is backend-independent.
+        Runs as one machine task per process; the accounting — one op
+        per component — does not depend on the order the tasks run in.
         """
         tasks = [partial(_call_task, f, i) for i in range(self.p)]
         return ParVector(tuple(self.machine.run_superstep(tasks)), self)

@@ -1,15 +1,7 @@
-"""BSP substrate: machine parameters, superstep engine, cost accounting
-and pluggable execution backends."""
+"""BSP substrate: machine parameters, superstep engine and cost
+accounting."""
 
 from repro.bsp.cost import BspCost, SuperstepCost
-from repro.bsp.executor import (
-    BACKENDS,
-    BackendUnavailableError,
-    SequentialExecutor,
-    ThreadExecutor,
-    get_executor,
-    shutdown_executors,
-)
 from repro.bsp.machine import BspMachine
 from repro.bsp.network import (
     HRelation,
@@ -20,19 +12,13 @@ from repro.bsp.network import (
 from repro.bsp.params import PREDEFINED, BspParams
 
 __all__ = [
-    "BACKENDS",
-    "BackendUnavailableError",
     "BspCost",
     "BspMachine",
     "BspParams",
     "HRelation",
     "PREDEFINED",
-    "SequentialExecutor",
     "SuperstepCost",
-    "ThreadExecutor",
-    "get_executor",
     "h_relation_of_matrix",
     "h_relation_of_messages",
     "one_relation",
-    "shutdown_executors",
 ]

@@ -30,12 +30,12 @@ class SuperstepCost:
     the last barrier, which contributes computation time but neither
     communication nor an ``l`` term.
 
-    ``measured`` optionally carries per-process wall-clock seconds from
-    the executor layer (:meth:`~repro.bsp.machine.BspMachine.run_superstep`).
+    ``measured`` optionally carries per-process wall-clock seconds of the
+    computation phases (:meth:`~repro.bsp.machine.BspMachine.run_superstep`).
     It is excluded from equality and hashing (``compare=False``): the
-    abstract cost decomposition is deterministic and backend-independent,
+    abstract cost decomposition is deterministic and schedule-independent,
     and the differential conformance harness relies on comparing it
-    bit-for-bit across backends, while measured time naturally varies.
+    bit-for-bit across schedules, while measured time naturally varies.
     """
 
     work: Tuple[float, ...]
@@ -110,7 +110,7 @@ class BspCost:
     def render(self, params: Optional[BspParams] = None) -> str:
         """A human-readable superstep table.
 
-        When any superstep carries backend wall-clock timings
+        When any superstep carries measured wall-clock timings
         (``SuperstepCost.measured``) a ``measured ms`` column appears
         next to the modelled ``max w``, so modelled versus measured cost
         is visible per superstep without a full trace.

@@ -12,13 +12,16 @@ the requested h-relation, (3) a synchronization barrier.  ``exchange``
 performs (2)+(3) and opens the next superstep; ``barrier`` is an exchange
 with an empty relation (``if ... at ...`` uses an explicit small one).
 
-Since the executor layer (:mod:`repro.bsp.executor`) the machine also
-*executes*: :meth:`BspMachine.run_superstep` runs one task per process on
-a pluggable backend (sequential or threads), folds the tasks' abstract
-op counts into the ``w_i`` work accounting, and records their
-measured wall-clock seconds alongside (carried on
-:class:`~repro.bsp.cost.SuperstepCost` but excluded from equality, so
-cost accounting stays backend-independent).
+The machine also *executes* the computation phases:
+:meth:`BspMachine.run_superstep` runs one task per process on the
+calling thread, folds the tasks' abstract op counts into the ``w_i``
+work accounting, and records their measured wall-clock seconds
+alongside (carried on :class:`~repro.bsp.cost.SuperstepCost` but
+excluded from equality).  The order in which the tasks run is the
+machine's ``schedule``: in process order by default, or any permutation
+a test supplies.  Values, costs and trace records are committed in
+process order whatever the schedule, so a program whose result depends
+on it is caught by the schedule axis of :func:`repro.testing.conform`.
 
 Every phase is **transactional**: :meth:`run_superstep` and
 :meth:`exchange` either commit — values, cost rows, mailboxes — or leave
@@ -27,11 +30,11 @@ the machine exactly as it was and raise the program's own error.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.bsp.cost import BspCost, SuperstepCost
-from repro.bsp.executor import SequentialExecutor, Task
 from repro.bsp.network import HRelation, h_relation_of_matrix
 from repro.bsp.params import BspParams
 
@@ -62,13 +65,23 @@ class _NoMessage:
 #: The unique "mailbox empty" marker.
 NO_MESSAGE = _NoMessage()
 
+#: A unit of per-process work: returns ``(value, abstract_op_count)``.
+Task = Callable[[], Any]
+
+#: The order of one computation phase: ``schedule(p)`` returns a
+#: permutation of ``range(p)``.
+Schedule = Callable[[int], Sequence[int]]
+
 
 class BspMachine:
     """A ``p``-process BSP machine accumulating a :class:`BspCost`."""
 
-    def __init__(self, params: BspParams, executor=None) -> None:
+    def __init__(self, params: BspParams, schedule: Optional[Schedule] = None) -> None:
+        """``schedule`` is a test seam: called once per computation phase,
+        it gives the order the tasks run in.  None runs them in process
+        order."""
         self.params = params
-        self.executor = executor if executor is not None else SequentialExecutor()
+        self.schedule = schedule
         self._work: List[float] = [0.0] * params.p
         self._elapsed: List[float] = [0.0] * params.p
         self._steps: List[SuperstepCost] = []
@@ -108,14 +121,14 @@ class BspMachine:
             self._work[proc] += ops
 
     def run_superstep(self, tasks: Sequence[Task]) -> List[Any]:
-        """Execute the computation phase of a superstep on the backend.
+        """Execute the computation phase of a superstep.
 
         ``tasks[i]`` is a zero-argument callable — process ``i``'s local
-        computation — returning ``(value, ops)``.  The abstract ``ops``
-        are folded into process ``i``'s ``w_i`` (exactly what the callers
-        used to account in-line, so costs are backend-independent), and
-        the measured wall-clock seconds accumulate separately until the
-        superstep closes.  Returns the values in process order.
+        computation — returning ``(value, ops)``.  The tasks run in the
+        machine's ``schedule`` order; the abstract ``ops`` are folded
+        into process ``i``'s ``w_i`` and the measured wall-clock seconds
+        accumulate separately until the superstep closes.  Returns the
+        values in process order.
 
         The superstep is *not* closed: like ``mkpar``/``apply`` these are
         asynchronous phases; the barrier still comes from
@@ -123,9 +136,8 @@ class BspMachine:
 
         The phase is **transactional**.  Work and elapsed time commit
         only when every process has a value; on any failure the machine
-        is left exactly as it was and the lowest-index task error is
-        re-raised, which keeps the propagated exception deterministic
-        across backends.
+        is left exactly as it was and the error of the lowest-index
+        failing task is re-raised, whatever the schedule.
         """
         if len(tasks) != self.p:
             raise ValueError(f"expected {self.p} tasks, got {len(tasks)}")
@@ -135,33 +147,54 @@ class BspMachine:
                 obs.MACHINE_TRACK,
                 superstep=len(self._steps),
                 procs=self.p,
-                backend=self.executor.name,
             ):
                 return self._compute(tasks, tasks_traced=obs.window_open())
         return self._compute(tasks, tasks_traced=False)
 
     def _compute(self, tasks: Sequence[Task], tasks_traced: bool) -> List[Any]:
-        """The (transactional) body of :meth:`run_superstep`."""
+        """The (transactional) body of :meth:`run_superstep`.
+
+        One loop for every schedule: a task whose index is above the
+        lowest failing index seen so far is skipped, since its outcome
+        can no longer matter.  In process order that is fail-fast; under
+        a permutation it runs exactly the tasks needed to find the
+        lowest-index error.
+        """
+        p = self.p
+        order = range(p) if self.schedule is None else self.schedule(p)
+        results: List[Any] = [None] * p
+        started = [0.0] * p
+        seconds = [0.0] * p
+        failed, error = p, None
+        clock = time.perf_counter
+        for proc in order:
+            if proc > failed:
+                continue
+            start = clock()
+            try:
+                results[proc] = tasks[proc]()
+            except Exception as raised:
+                failed, error = proc, raised
+                continue
+            started[proc], seconds[proc] = start, clock() - start
+        if error is not None:
+            # Nothing was committed, so the machine state is untouched:
+            # re-raise the program's own error.
+            raise error
+        # Commit in process order: every process has a value.
         step_index = len(self._steps)
-        outcomes = self.executor.run(tasks)
-        for outcome in outcomes:
-            if outcome.error is not None:
-                # Nothing was committed, so the machine state is
-                # untouched: re-raise the program's own error.
-                raise outcome.error
-        # Commit: every process has a successful outcome.
         values: List[Any] = []
-        for proc, outcome in enumerate(outcomes):
-            value, ops = outcome.value
+        for proc in range(p):
+            value, ops = results[proc]
             self._work[proc] += ops
-            self._elapsed[proc] += outcome.seconds
+            self._elapsed[proc] += seconds[proc]
             values.append(value)
             if tasks_traced:
                 obs.record(
                     "task",
                     obs.process_track(proc),
-                    outcome.started,
-                    outcome.seconds,
+                    started[proc],
+                    seconds[proc],
                     proc=proc,
                     ops=ops,
                     superstep=step_index,
@@ -209,7 +242,7 @@ class BspMachine:
                     )
         if obs.is_tracing():
             # The full traffic matrix rides on the span (deterministic,
-            # so abstract signatures stay backend-identical): the trace
+            # so abstract signatures stay schedule-independent): the trace
             # analyzer aggregates it into the per-pair communication
             # report without re-deriving routing from payload keys.
             with obs.span(

@@ -21,7 +21,6 @@ from repro.obs.tracer import (
     INFERENCE_TRACK,
     MACHINE_TRACK,
     NONABSTRACT_ARGS,
-    NONABSTRACT_PREFIXES,
     Trace,
     TraceRecord,
     add_sink,
@@ -72,7 +71,6 @@ __all__ = [
     "INFERENCE_TRACK",
     "MACHINE_TRACK",
     "NONABSTRACT_ARGS",
-    "NONABSTRACT_PREFIXES",
     "SpanHistogram",
     "SuperstepBreakdown",
     "TRACE_FORMATS",

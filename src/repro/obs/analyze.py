@@ -546,7 +546,6 @@ def synthetic_trace(
             compute,
             superstep=index,
             procs=p,
-            backend="synthetic",
         )
         for proc in range(p):
             add(

@@ -38,10 +38,9 @@ exporters (:mod:`repro.obs.export`) normalize them against the window's
 **Abstract versus measured.**  :meth:`Trace.abstract_signature`
 projects a trace onto what is deterministic about an execution (span
 names, tracks, superstep indices, abstract op counts, h-relations):
-records named ``backend.*`` (re-entrant inline runs) are dropped and
-arg keys in :data:`NONABSTRACT_ARGS` filtered out.  The conformance
+arg keys in :data:`NONABSTRACT_ARGS` are filtered out.  The conformance
 harness (:func:`repro.testing.conform`) demands that this signature be
-bit-identical across execution backends and evaluation engines.
+bit-identical across process schedules and evaluation engines.
 """
 
 from __future__ import annotations
@@ -60,13 +59,9 @@ MACHINE_TRACK = "machine"
 #: The track carrying typing judgments, Solve checks and unification.
 INFERENCE_TRACK = "inference"
 
-#: Arg keys that carry measured (timing- or backend-dependent) data and
-#: are therefore excluded from :meth:`Trace.abstract_signature`.
-NONABSTRACT_ARGS = frozenset({"seconds", "ms", "backend"})
-
-#: Record-name prefixes whose records are backend-specific lifecycle
-#: (re-entrant inline runs) and excluded from the signature.
-NONABSTRACT_PREFIXES = ("backend.",)
+#: Arg keys that carry measured (timing-dependent) data and are
+#: therefore excluded from :meth:`Trace.abstract_signature`.
+NONABSTRACT_ARGS = frozenset({"seconds", "ms"})
 
 #: The counters a counting window derives from each record it sees:
 #: record name -> ``(counter, arg whose value it adds or None for 1)``.
@@ -113,11 +108,8 @@ class TraceRecord:
     def args_dict(self) -> Dict[str, Any]:
         return dict(self.args)
 
-    def abstract(self) -> Optional[Tuple[str, str, Tuple[Tuple[str, Any], ...]]]:
-        """The deterministic projection of this record, or None when the
-        record itself is backend-specific (``backend.*`` lifecycle)."""
-        if self.name.startswith(NONABSTRACT_PREFIXES):
-            return None
+    def abstract(self) -> Tuple[str, str, Tuple[Tuple[str, Any], ...]]:
+        """The deterministic projection of this record."""
         kept = tuple(
             (key, value) for key, value in self.args if key not in NONABSTRACT_ARGS
         )
@@ -142,8 +134,9 @@ class Trace(Window):
     ``epoch`` anchors the window: exporters subtract it so timelines
     start at zero.  Records are appended in *program order* by the
     coordinating thread (the machine's superstep loop, the inferencer's
-    traversal), which is what makes :meth:`abstract_signature`
-    order-deterministic across execution backends.
+    traversal) — per-process tasks in process order, whatever order they
+    ran in — which is what makes :meth:`abstract_signature`
+    order-deterministic across process schedules.
     """
 
     epoch: float = field(default_factory=time.perf_counter)
@@ -191,11 +184,10 @@ class Trace(Window):
     def abstract_signature(self) -> Tuple[Tuple[str, str, Tuple], ...]:
         """The deterministic projection of the whole trace: per record in
         append order, ``(name, track, abstract args)`` — timestamps,
-        durations, measured seconds and backend identity excluded.  Two
-        runs of the same program on different backends must produce equal
-        signatures (the trace-conformance check)."""
-        projected = (record.abstract() for record in self.records)
-        return tuple(entry for entry in projected if entry is not None)
+        durations and measured seconds excluded.  Two runs of the same
+        program under different schedules must produce equal signatures
+        (the trace-conformance check)."""
+        return tuple(record.abstract() for record in self.records)
 
 
 W = TypeVar("W", bound=Window)

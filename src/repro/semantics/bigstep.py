@@ -89,10 +89,9 @@ class Evaluator:
         self.machine = machine
         self._proc: Optional[int] = None  # None = replicated (global) context
         # Component mode: a shadow evaluator running one process's share
-        # of a parallel operation on an execution backend counts its ops
-        # locally; the machine folds them in afterwards (deterministic
-        # and backend-independent, unlike charging a shared machine from
-        # concurrent workers).
+        # of a parallel operation as a machine task counts its ops
+        # locally; the machine folds them in afterwards, in process
+        # order, so the cost does not depend on the task schedule.
         self._counting = False
         self._counted_ops = 0.0
 
@@ -365,7 +364,7 @@ class Evaluator:
         return self._eval(branch, env)
 
 
-# -- per-process tasks for the execution backends ----------------------------
+# -- per-process tasks for the machine's computation phases ------------------
 #
 # Module-level functions building one process's share of a parallel
 # operation, bound with ``functools.partial``.  Each creates a *shadow*
@@ -373,7 +372,7 @@ class Evaluator:
 # the same locality discipline as the in-line path (its ``_proc`` is set,
 # so any nested parallel construct raises ``DynamicNestingError``), and
 # the op totals it returns are exactly what the in-line path would have
-# charged, so the folded cost is identical on every backend.
+# charged, so the folded cost is identical under every schedule.
 
 
 def _shadow(p: int, proc: int) -> Evaluator:

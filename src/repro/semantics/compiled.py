@@ -32,12 +32,12 @@ runs the closures:
 tree engine, in the same program order: one charge per application /
 conditional / ``let`` / primitive reduction, per-component tasks through
 :meth:`~repro.bsp.machine.BspMachine.run_superstep` (abstract op counts
-computed inside the tasks, so every backend agrees), the same exchange
+computed inside the tasks, so every schedule agrees), the same exchange
 matrices under the same labels for ``put`` and ``if ... at``.  So the
 structured trace's
 :meth:`~repro.obs.tracer.Trace.abstract_signature` is bit-identical too.
 The conformance harness (:func:`repro.testing.conform`) enforces all
-three equalities across engines × backends.
+three equalities across engines × schedules.
 
 Error behaviour is preserved *including timing*: an unbound variable, an
 unknown node, or a subexpression that would raise is compiled to a step
@@ -132,7 +132,7 @@ class _Runtime:
     Mirrors the mutable state of :class:`~repro.semantics.bigstep
     .Evaluator`: the machine (None = uncosted), the current process
     (None = replicated/global context), and the component-counting mode
-    used by per-process tasks on the execution backends.
+    used by the per-process tasks of the machine's computation phases.
     """
 
     __slots__ = ("p", "machine", "proc", "counting", "counted")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.bsp.cost import BspCost
-from repro.bsp.executor import get_executor
 from repro.bsp.machine import BspMachine
 from repro.bsp.params import BspParams
 from repro.lang.ast import Expr
@@ -53,11 +52,9 @@ def run_costed(
 ) -> CostedResult:
     """Evaluate ``expr`` at size ``params.p`` with full cost accounting.
 
-    ``backend`` selects the execution backend for the per-process
-    computation phases (``seq`` or ``thread``; see
-    :mod:`repro.bsp.executor`).  The value and the abstract cost are
-    identical on every backend — the conformance harness
-    (:func:`repro.testing.conform`) enforces exactly that.
+    ``backend`` must be ``"seq"``: every computation phase runs on the
+    calling thread, and the keyword stays only for callers that still
+    pass it.
 
     ``engine`` selects the evaluation engine: ``compiled`` (the
     closure-compiling engine of :mod:`repro.semantics.compiled`, the
@@ -70,7 +67,9 @@ def run_costed(
     points: prelude linking and evaluation both recurse over the AST, and
     a deep ``let`` tower is a legitimate program.
     """
-    machine = BspMachine(params, executor=get_executor(backend))
+    if backend != "seq":
+        raise ValueError(f"unknown backend {backend!r} (the only backend is 'seq')")
+    machine = BspMachine(params)
     evaluator_cls = get_engine(engine)
     with deep_recursion():
         program = with_prelude(expr) if use_prelude else expr

@@ -48,6 +48,11 @@ from repro.semantics import CostedResult, StuckError, run_costed
 from repro.semantics.values import reify
 from repro.service.cache import ShardedCache
 
+#: The largest ``p`` a request may ask for.  Work, trace and response
+#: size all grow with ``p``, so it is bounded before anything is built.
+MAX_P = 4096
+
+
 @dataclass
 class ServiceConfig:
     """Boot-time configuration of a :class:`ServiceCore`."""
@@ -55,9 +60,8 @@ class ServiceConfig:
     p: int = 4
     g: float = 1.0
     l: float = 20.0
-    #: Every backend answers bit-identically, so the service always runs
-    #: on the sequential one; ``thread`` is a conformance oracle only.
-    #: A constant, not a field: ``e2ebench/replay.py`` reads it.
+    #: The only backend.  A constant, not a field: ``e2ebench/replay.py``
+    #: reads it and passes it to ``run_costed``.
     backend: ClassVar[str] = "seq"
     #: Evaluation and type-inference engines.  Every engine answers
     #: bit-identically, so no request field selects one; the reference
@@ -101,7 +105,7 @@ def _render_constrained(ct: ConstrainedType) -> Tuple[str, str]:
 
 def _value_text(result: CostedResult) -> str:
     """Deterministic rendering of a runtime value: the pretty-printed
-    reified term (identical across engines and backends), falling back
+    reified term (identical across engines and schedules), falling back
     to a kind tag for values with no finite term form."""
     try:
         with deep_recursion():
@@ -260,6 +264,8 @@ class ServiceCore:
         p = options["p"]
         if isinstance(p, bool) or not isinstance(p, int) or p < 1:
             raise RequestError(400, "bad-request", f"p must be a positive int, got {p!r}")
+        if p > MAX_P:
+            raise RequestError(400, "bad-request", f"p must be at most {MAX_P}, got {p!r}")
         for knob in ("g", "l"):
             value = options[knob]
             if (

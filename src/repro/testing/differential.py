@@ -12,10 +12,13 @@ implementation against the sequential specification" discipline of
 
 The axes:
 
-* **evaluation** — ``engines × backends`` (the tree evaluator and the
-  closure compiler, :mod:`repro.semantics.compiled`; the sequential and
-  thread executors, :mod:`repro.bsp.executor`).  The first point
-  (``tree/seq``) is the reference;
+* **evaluation** — ``engines × schedules`` (the tree evaluator and the
+  closure compiler, :mod:`repro.semantics.compiled`; the order in which
+  each computation phase runs its processes, :data:`SCHEDULES`).  The
+  first point (``tree/in-order``) is the reference.  The schedule axis
+  is the oracle for the premise of the paper's compositional cost model
+  (§2): a superstep's result does not depend on the order its ``p``
+  processes compute in;
 * **typing** — ``infer_engines`` (the Fig. 7 substitution engine ``w``
   first, then the union-find engine), each replaying the same fresh
   type-variable names.
@@ -42,6 +45,7 @@ The verdict rules (:meth:`Report.divergence`):
 from __future__ import annotations
 
 import itertools
+import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -49,8 +53,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import repro.core.types as core_types
 from repro import obs
 from repro.bsp.cost import BspCost
-from repro.bsp.executor import BACKENDS, get_executor
-from repro.bsp.machine import BspMachine
+from repro.bsp.machine import BspMachine, Schedule
 from repro.bsp.params import BspParams
 from repro.bsml.primitives import Bsml, ParVector
 from repro.core.errors import TypingError
@@ -73,12 +76,33 @@ Program = Union[str, Expr, Callable[[Bsml], Any]]
 #: Runtime errors Theorem 1 rules out for a well-typed program.
 _UNSAFE_ERRORS = ("StuckError", "DynamicNestingError")
 
+#: The default schedule axis: process order, its reverse, and one seeded
+#: shuffle (``"shuffle:<seed>"`` names any other).
+SCHEDULES = ("in-order", "reversed", "shuffle:0")
+
+
+def schedule_of(name: str) -> Optional[Schedule]:
+    """The machine schedule a schedule name denotes.  ``in-order`` is
+    None (the machine's own order); a shuffle draws one permutation per
+    computation phase from ``random.Random(seed)``."""
+    if name == "in-order":
+        return None
+    if name == "reversed":
+        return lambda p: range(p - 1, -1, -1)
+    kind, _, seed = name.partition(":")
+    if kind == "shuffle" and seed.isdigit():
+        draw = random.Random(int(seed))
+        return lambda p: draw.sample(range(p), p)
+    raise ValueError(
+        f"unknown schedule {name!r} (in-order, reversed or shuffle:<seed>)"
+    )
+
 
 @dataclass
 class Observation:
     """What one axis point observed of a program.
 
-    Evaluation points set ``backend`` (and ``engine``, except for
+    Evaluation points set ``schedule`` (and ``engine``, except for
     BSMLlib callables); typing points set
     ``infer_engine``.  ``fingerprint`` is the engine-independent value
     observation (:func:`_value_fingerprint`), ``trace`` the abstract trace
@@ -87,7 +111,7 @@ class Observation:
     ``derivation`` come from the unpruned pass, so typing points compare
     the exact constraint trees the paper's rules accumulate."""
 
-    backend: Optional[str] = None
+    schedule: Optional[str] = None
     engine: Optional[str] = None
     infer_engine: Optional[str] = None
     value: Any = None
@@ -106,10 +130,10 @@ class Observation:
 
     @property
     def point(self) -> str:
-        """The axis point, e.g. ``compiled/thread`` or ``infer uf``."""
+        """The axis point, e.g. ``compiled/reversed`` or ``infer uf``."""
         if self.infer_engine is not None:
             return f"infer {self.infer_engine}"
-        return "/".join(axis for axis in (self.engine, self.backend) if axis)
+        return "/".join(axis for axis in (self.engine, self.schedule) if axis)
 
 
 @dataclass
@@ -123,7 +147,7 @@ class Report:
     @property
     def evaluations(self) -> List[Observation]:
         """The evaluation points, in run order."""
-        return [o for o in self.observations if o.backend]
+        return [o for o in self.observations if o.schedule]
 
     @property
     def typing(self) -> List[Observation]:
@@ -131,7 +155,7 @@ class Report:
 
     @property
     def reference(self) -> Observation:
-        """The first evaluation point (``tree/seq`` by default), or
+        """The first evaluation point (``tree/in-order`` by default), or
         the first typing point when there is no evaluation axis."""
         return (self.evaluations or self.typing)[0]
 
@@ -355,12 +379,12 @@ def _observe(
     program: Program,
     expr: Optional[Expr],
     params: BspParams,
-    backend: str,
+    schedule: str,
     engine: Optional[str],
 ) -> Observation:
     """Run one evaluation point on a machine of its own, traced."""
-    point = Observation(backend=backend, engine=engine)
-    machine = BspMachine(params, executor=get_executor(backend))
+    point = Observation(schedule=schedule, engine=engine)
+    machine = BspMachine(params, schedule=schedule_of(schedule))
     with obs.trace() as collected:
         try:
             if expr is None:
@@ -398,7 +422,7 @@ def conform(
     program: Program,
     params: Optional[BspParams] = None,
     *,
-    backends: Sequence[str] = BACKENDS,
+    schedules: Sequence[str] = SCHEDULES,
     engines: Sequence[str] = ENGINES,
     infer_engines: Sequence[str] = INFER_ENGINES,
     use_prelude: Optional[bool] = None,
@@ -409,7 +433,7 @@ def conform(
     agrees on conforms, so callers that need success assert
     ``report.succeeded``.
 
-    Points run in order: the ``engines × backends`` product, then
+    Points run in order: the ``engines × schedules`` product, then
     ``infer_engines``.
     ``use_prelude`` defaults to True for source text (so the shipped
     ``programs/*.bsml`` and the curated corpora just work) and False for
@@ -425,8 +449,8 @@ def conform(
             expr = with_prelude(source) if prelude else source
     else:
         engines, infer_engines = (None,), ()
-    for engine, backend in itertools.product(engines, backends):
-        report.observations.append(_observe(program, expr, params, backend, engine))
+    for engine, schedule in itertools.product(engines, schedules):
+        report.observations.append(_observe(program, expr, params, schedule, engine))
     if infer_engines:
         report.env = prelude_env() if prelude else None
         with fresh_names() as rewind:

@@ -1,6 +1,9 @@
-"""Tests for the BSP machine: superstep accounting and mailboxes."""
+"""Tests for the BSP machine: superstep accounting, mailboxes and the
+schedule of its computation phases."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -8,6 +11,10 @@ from repro.bsp.cost import BspCost, SuperstepCost
 from repro.bsp.machine import NO_MESSAGE, BspMachine
 from repro.bsp.network import HRelation
 from repro.bsp.params import PREDEFINED, BspParams
+from repro.testing.differential import SCHEDULES, schedule_of
+
+#: The default conformance axis plus a few more shuffles.
+SCHEDULE_NAMES = SCHEDULES + tuple(f"shuffle:{seed}" for seed in (1, 2, 3))
 
 
 def machine(p=4, g=2.0, l=50.0):
@@ -269,3 +276,80 @@ class TestSuperstepAtomicity:
         assert cost.W == 10.0
         assert cost.S == 1
         assert cost.check_decomposition(m.params)
+
+
+def _recorded(ran, i):
+    ran.append(i)
+    return i * i, 1.0
+
+
+class TestSchedules:
+    @pytest.mark.parametrize("name", SCHEDULE_NAMES)
+    def test_values_commit_in_process_order(self, name):
+        ran = []
+        m = BspMachine(BspParams(p=5), schedule=schedule_of(name))
+        values = m.run_superstep([partial(_recorded, ran, i) for i in range(5)])
+        assert values == [0, 1, 4, 9, 16]
+        assert sorted(ran) == [0, 1, 2, 3, 4]
+        m.barrier()
+        assert m.cost().supersteps[0].work == (1.0,) * 5
+
+    def test_schedule_sets_the_run_order(self):
+        ran = []
+        m = BspMachine(BspParams(p=4), schedule=schedule_of("reversed"))
+        m.run_superstep([partial(_recorded, ran, i) for i in range(4)])
+        assert ran == [3, 2, 1, 0]
+
+    def test_shuffle_draws_a_new_permutation_per_phase_and_replays(self):
+        def orders(name):
+            ran = []
+            m = BspMachine(BspParams(p=6), schedule=schedule_of(name))
+            for _ in range(3):
+                m.run_superstep([partial(_recorded, ran, i) for i in range(6)])
+            return [tuple(ran[k:k + 6]) for k in range(0, 18, 6)]
+
+        first = orders("shuffle:7")
+        assert first == orders("shuffle:7")
+        assert len(set(first)) > 1
+        assert all(sorted(order) == list(range(6)) for order in first)
+
+
+class TestErrorRule:
+    """Processes 1 and 3 raise different errors: every schedule re-raises
+    process 1's, and the failed phase commits nothing."""
+
+    P = 6
+
+    def _tasks(self, ran):
+        def make(i):
+            def task():
+                ran.append(i)
+                if i in (1, 3):
+                    raise RuntimeError(f"proc {i} failed")
+                return i, 10.0
+            return task
+        return [make(i) for i in range(self.P)]
+
+    @pytest.mark.parametrize("name", SCHEDULE_NAMES)
+    def test_lowest_index_error_under_every_schedule(self, name):
+        m = BspMachine(BspParams(p=self.P), schedule=schedule_of(name))
+        m.run_superstep([lambda i=i: (i, 1.0) for i in range(self.P)])
+        before = m.state_fingerprint()
+        with pytest.raises(RuntimeError, match="proc 1 failed"):
+            m.run_superstep(self._tasks([]))
+        assert m.state_fingerprint() == before
+
+    def test_in_order_fails_fast(self):
+        ran = []
+        with pytest.raises(RuntimeError, match="proc 1 failed"):
+            machine(p=self.P).run_superstep(self._tasks(ran))
+        # Tasks 2..p-1 never ran.
+        assert ran == [0, 1]
+
+    def test_permuted_schedule_runs_only_tasks_below_the_lowest_failure(self):
+        ran = []
+        m = BspMachine(BspParams(p=self.P), schedule=lambda p: [3, 5, 1, 4, 0, 2])
+        with pytest.raises(RuntimeError, match="proc 1 failed"):
+            m.run_superstep(self._tasks(ran))
+        # 5 is skipped once 3 failed; 4 and 2 once 1 failed.
+        assert ran == [3, 1, 0]

@@ -46,7 +46,7 @@ MUTANT_SEEDS = 100
 
 def _typing(program):
     """The typing axis alone: ``w`` then ``uf``, same fresh names."""
-    return conform(program, backends=())
+    return conform(program, schedules=())
 
 
 class TestEngineDispatch:

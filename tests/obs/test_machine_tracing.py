@@ -92,16 +92,17 @@ class TestAbstractSignature:
         for entry in task_entries:
             keys = [k for k, _ in entry[2]]
             assert "ops" in keys and "proc" in keys
-            assert "seconds" not in keys and "backend" not in keys
+            assert "seconds" not in keys
 
     def test_backend_identity_not_in_compute_signature(self):
+        # The compute span carries only the superstep and the width.
         m = machine()
         with obs.trace() as t:
             m.run_superstep(tasks())
         compute_entry = next(
             e for e in t.abstract_signature() if e[0] == "superstep.compute"
         )
-        assert "backend" not in [k for k, _ in compute_entry[2]]
+        assert compute_entry[2] == (("procs", 4), ("superstep", 0))
 
 
 class TestEndToEnd:

@@ -193,18 +193,9 @@ class TestAbstractSignature:
                 proc=0,
                 ops=12,
                 seconds=0.5,
-                backend="thread",
             )
         (entry,) = t.abstract_signature()
         assert entry == ("task", "proc 0", (("ops", 12), ("proc", 0)))
-
-    def test_backend_lifecycle_records_are_dropped(self):
-        with obs.trace() as t:
-            obs.event("backend.fallback", obs.MACHINE_TRACK, slot=1)
-            obs.event("fault", obs.process_track(0), kind="crash", proc=0)
-        signature = t.abstract_signature()
-        assert len(signature) == 1
-        assert signature[0][0] == "fault"
 
     def test_signature_ignores_timing_but_keeps_order(self):
         def run(delay):

@@ -1,7 +1,10 @@
 """The product conformance sweep: every program runs at every point of
-``engines × backends`` and must observe the same values, the same BSP
+``engines × schedules`` and must observe the same values, the same BSP
 cost decomposition and the same abstract trace signature — on generated
-programs and on the whole shipped corpus.  The typing axis, and with it
+programs and on the whole shipped corpus.  The schedule axis (in order,
+reversed, seeded shuffles) is the schedule-independence oracle: a
+superstep's result must not depend on the order its processes compute
+in.  The typing axis, and with it
 the Theorem 1 check, runs over the infer-engine sweeps' programs
 (``tests/core/test_infer_engines.py``): 200 generated programs and the
 corpus, each through the whole product."""
@@ -25,9 +28,14 @@ def _generated(seed):
 @pytest.mark.parametrize("seed", range(200))
 def test_generated_program_conforms(seed):
     """≥200 random well-typed programs: identical value, BspCost
-    superstep list and trace signature on tree/compiled × seq/thread."""
+    superstep list and trace signature on tree/compiled × in order,
+    reversed and a shuffle seeded by the program's own seed, so the sweep
+    exercises 200 different shuffles."""
+    schedules = ("in-order", "reversed", f"shuffle:{seed}")
     try:
-        report = conform(_generated(seed), params=PARAMS, infer_engines=())
+        report = conform(
+            _generated(seed), params=PARAMS, schedules=schedules, infer_engines=()
+        )
     except AssertionError as error:  # pragma: no cover - diagnostic path
         raise AssertionError(f"seed {seed}: {error}") from error
     assert report.succeeded, report.explain()
@@ -46,7 +54,8 @@ def test_corpus_program_conforms(name, source):
 @pytest.mark.parametrize("seed", (0, 7, 42, 123, 199))
 def test_determinism_across_backends_and_reruns(seed):
     """The same seed yields the same program, the same inferred scheme and
-    the same observations at every point — twice in a row."""
+    the same observations at every point of engines × schedules — twice
+    in a row."""
     first, second = _generated(seed), _generated(seed)
     assert pretty(first) == pretty(second), f"seed {seed}: generator not stable"
     assert str(infer_scheme(first)) == str(infer_scheme(second)), (

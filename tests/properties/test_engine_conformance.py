@@ -5,7 +5,7 @@ trace signature as the tree-walking cost oracle — on generated programs
 (uniform and pid-divergent) and on the whole shipped corpus.  The
 unsafe corpus and the per-pid partial-failure programs
 must fail identically (same error type, same message) on both engines.
-The backend-focused product over the same generated programs and corpus
+The schedule-focused product over the same generated programs and corpus
 is ``test_backend_conformance.py``."""
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def test_generated_program_engines_agree(seed):
     """≥200 random well-typed programs: both engines observe the same
     value, BspCost and trace signature, or fail with the same error."""
     try:
-        conform(_generated(seed), params=PARAMS, backends=("seq",), infer_engines=())
+        conform(_generated(seed), params=PARAMS, schedules=("in-order",), infer_engines=())
     except AssertionError as error:  # pragma: no cover - diagnostic path
         raise AssertionError(f"seed {seed}: {error}") from error
 
@@ -53,7 +53,7 @@ def test_divergent_program_engines_agree(seed):
     fingerprints, BspCost superstep lists and trace signatures on both
     engines."""
     try:
-        conform(_divergent(seed), params=PARAMS, backends=("seq",), infer_engines=())
+        conform(_divergent(seed), params=PARAMS, schedules=("in-order",), infer_engines=())
     except AssertionError as error:  # pragma: no cover - diagnostic path
         raise AssertionError(f"seed {seed}: {error}") from error
 
@@ -65,7 +65,7 @@ def test_partial_failure_error_parity(seed):
     the cost on any engine.  The programs are well typed, so the typing
     axis runs too: division by zero is an error Theorem 1 allows."""
     expr = ProgramGenerator(seed=seed, p_hint=PARAMS.p).partial_failure()
-    report = conform(expr, params=PARAMS, backends=("seq",))
+    report = conform(expr, params=PARAMS, schedules=("in-order",))
     assert report.reference.error is not None, "partial_failure must raise"
     assert all(point.ok for point in report.typing), report.explain()
 
@@ -78,7 +78,7 @@ CORPUS = conformance_corpus()
 )
 def test_corpus_program_engines_agree(source):
     """The curated corpora and every shipped programs/*.bsml file, on
-    every engine and backend."""
+    every engine and schedule."""
     conform(source, params=PARAMS, infer_engines=())
 
 
@@ -96,7 +96,7 @@ def test_unsafe_corpus_error_parity(index, source):
     rest (caught only by the type system, e.g. a discarded vector under
     ``fst``) must produce the same value and cost.  Both inference
     engines reject every one with the same message."""
-    report = conform(source, params=PARAMS, backends=("seq",))
+    report = conform(source, params=PARAMS, schedules=("in-order",))
     assert not report.typing[0].ok, report.explain()
 
 
@@ -105,7 +105,7 @@ def test_unsafe_corpus_exercises_runtime_errors():
     a good share of the rejected corpus raises DynamicNestingError."""
     errors = [
         conform(
-            source, params=PARAMS, backends=("seq",), infer_engines=()
+            source, params=PARAMS, schedules=("in-order",), infer_engines=()
         ).reference.error
         for source in unsafe_corpus()
     ]

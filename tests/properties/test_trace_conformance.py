@@ -1,10 +1,10 @@
-"""Trace conformance across execution backends.
+"""Trace conformance across process schedules.
 
 The abstract projection of a structured trace — superstep structure,
-h-relations per superstep, abstract op counts — is deterministic for a deterministic program, so it must be
-bit-identical whichever backend ran the computation phases.  Timestamps,
-durations and backend lifecycle records (``backend.*``) are excluded by
-construction (:meth:`repro.obs.Trace.abstract_signature`).
+h-relations per superstep, abstract op counts — is deterministic for a
+deterministic program, so it must be bit-identical whatever order the
+computation phases ran their processes in.  Timestamps and durations are
+excluded by construction (:meth:`repro.obs.Trace.abstract_signature`).
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ PROGRAMS = (
 )
 
 
-def _backends(source, **axes):
-    """The backend axis alone, on the tree engine."""
+def _schedules(source, **axes):
+    """The schedule axis alone, on the tree engine."""
     return conform(source, engines=("tree",), infer_engines=(), **axes)
 
 
 class TestDifferentialTraceConformance:
     def test_signatures_collected_and_identical(self):
-        report = _backends(PROGRAMS[0])
+        report = _schedules(PROGRAMS[0])
         reference = report.reference.trace
         assert reference  # non-empty: the machine emitted abstract records
         for point in report.evaluations[1:]:
@@ -39,20 +39,20 @@ class TestDifferentialTraceConformance:
             assert conform(source).succeeded
 
     def test_divergent_signature_fails_conformance(self):
-        report = _backends(PROGRAMS[0])
+        report = _schedules(PROGRAMS[0])
         doctored = report.evaluations[1].trace + (
             ("fault", "proc 0", (("kind", "crash"),)),
         )
         report.evaluations[1].trace = doctored
         assert not report.conforms
-        assert "tree/thread: trace length" in report.explain()
+        assert "tree/reversed: trace length" in report.explain()
 
     def test_divergence_pinpoints_first_record(self):
-        report = _backends(PROGRAMS[0])
+        report = _schedules(PROGRAMS[0])
         signature = list(report.evaluations[1].trace)
         signature[0] = ("task", "proc 999", ())
         report.evaluations[1].trace = tuple(signature)
-        assert "tree/thread: trace record 0" in report.explain()
+        assert "tree/reversed: trace record 0" in report.explain()
 
 
 class TestTraceVersusCost:

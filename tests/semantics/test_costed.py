@@ -155,6 +155,19 @@ class TestResultPlumbing:
         result = run_costed(parse("mkpar (fun i -> i)"), PARAMS)
         assert result.python_value == [0, 1, 2, 3]
 
+    def test_seq_is_the_only_backend(self):
+        result = run_costed(parse("mkpar (fun i -> i)"), PARAMS, backend="seq")
+        assert result.python_value == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["thread", "process", "processes", "sequential", 5, None, ["seq"]],
+        ids=["thread", "process", "processes", "sequential", "int", "null", "list"],
+    )
+    def test_other_backends_are_a_value_error(self, backend):
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_costed(parse("1"), PARAMS, backend=backend)
+
 
 class TestDeepPrograms:
     def test_deep_let_tower_runs_costed(self):

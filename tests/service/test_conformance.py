@@ -30,8 +30,8 @@ P = 4
 
 def _reference(source: str):
     """What the service must answer for ``source``: computed with the
-    same public pipeline on the ``tree`` cost oracle, sequential
-    backend, no service involved."""
+    same public pipeline on the ``tree`` cost oracle, no service
+    involved."""
     expr = parse_program(source)
     ct = infer(expr, prelude_env())
     type_text, constraint_text = _render_constrained(ct)

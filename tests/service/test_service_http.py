@@ -6,12 +6,13 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.lang.limits import RECURSION_LIMIT
 from repro.service import ServiceCore, start_in_background
-from repro.service.handlers import RequestError
+from repro.service.handlers import MAX_P, RequestError
 
 
 class TestBasics:
@@ -216,6 +217,25 @@ class TestErrorMapping:
             )
             assert status == 400, bad
             assert body["error"]["kind"] == "bad-request", bad
+
+    @pytest.mark.parametrize("route", ["/v1/typecheck", "/v1/run"])
+    def test_oversized_p_is_400_before_any_work(self, client, route):
+        # Refused before any work: a full run at this p takes seconds.
+        started = time.perf_counter()
+        status, body, _ = client.request(
+            "POST", route, {"program": "mkpar (fun i -> i)", "p": 100_000}
+        )
+        elapsed = time.perf_counter() - started
+        assert status == 400
+        assert body["error"] == {
+            "kind": "bad-request",
+            "message": f"p must be at most {MAX_P}, got 100000",
+        }
+        assert elapsed < 1.0, f"rejection took {elapsed:.2f} s"
+        status, _, _ = client.request(
+            "POST", route, {"program": "mkpar (fun i -> i)", "p": MAX_P}
+        )
+        assert status == 200
 
     def test_malformed_json_is_400(self, client):
         conn = client.connect()

@@ -20,14 +20,16 @@ class TestRunDifferential:
         assert report.conforms
         assert report.succeeded
         assert [point.point for point in report.observations] == [
-            "tree/seq",
-            "tree/thread",
-            "compiled/seq",
-            "compiled/thread",
+            "tree/in-order",
+            "tree/reversed",
+            "tree/shuffle:0",
+            "compiled/in-order",
+            "compiled/reversed",
+            "compiled/shuffle:0",
             "infer w",
             "infer uf",
         ]
-        assert report.reference.point == "tree/seq"
+        assert report.reference.point == "tree/in-order"
         assert report.reference.value_repr == "VParVec(items=(0, 0, 0, 0))"
         assert report.reference.fingerprint == "<0, 0, 0, 0>"
         assert all(point.cost == report.reference.cost for point in report.evaluations)
@@ -45,7 +47,11 @@ class TestRunDifferential:
 
         report = conform(program, params=BspParams(p=4))
         assert report.conforms and report.succeeded
-        assert [point.point for point in report.observations] == ["seq", "thread"]
+        assert [point.point for point in report.observations] == [
+            "in-order",
+            "reversed",
+            "shuffle:0",
+        ]
         assert report.reference.value_repr == "[2, 4, 6, 8]"
 
     def test_agreed_error_conforms(self):
@@ -57,18 +63,42 @@ class TestRunDifferential:
         assert all(point.error == report.reference.error for point in report.evaluations)
         assert all(point.error.startswith("UnificationError") for point in report.typing)
 
-    def test_backend_subset(self):
-        report = conform("2 + 2", backends=("thread",), infer_engines=())
+    def test_schedule_subset(self):
+        report = conform("2 + 2", schedules=("shuffle:5",), infer_engines=())
         assert [point.point for point in report.observations] == [
-            "tree/thread",
-            "compiled/thread",
+            "tree/shuffle:5",
+            "compiled/shuffle:5",
         ]
         assert report.conforms
 
+    @pytest.mark.parametrize("name", ["seq", "thread", "shuffle:", "shuffle:x"])
+    def test_unknown_schedule_is_a_value_error(self, name):
+        with pytest.raises(ValueError, match=f"unknown schedule '{name}'"):
+            conform("2 + 2", schedules=(name,), infer_engines=())
 
-def _ok(engine, backend, value_repr="[1]", cost=None, trace=()):
+
+class TestScheduleIndependence:
+    def test_order_dependent_program_is_caught(self):
+        # Each component reads and writes one shared list, so its value
+        # is the order it ran in: in order [1..8], reversed [8..1].
+        def order_dependent(bsml):
+            seen = []
+
+            def component(i):
+                seen.append(i)
+                return len(seen)
+
+            return bsml.mkpar(component)
+
+        with pytest.raises(AssertionError) as caught:
+            conform(order_dependent, params=BspParams(p=8))
+        first = str(caught.value).split("first divergence at ", 1)[1]
+        assert first.startswith(("reversed:", "shuffle:0:")), first
+
+
+def _ok(engine, schedule, value_repr="[1]", cost=None, trace=()):
     return Observation(
-        backend=backend,
+        schedule=schedule,
         engine=engine,
         value_repr=value_repr,
         fingerprint=value_repr,
@@ -81,80 +111,80 @@ class TestVerdicts:
     def test_value_divergence_detected(self):
         report = Report(
             "'demo'",
-            [_ok("tree", "seq"), _ok("tree", "thread", value_repr="[2]")],
+            [_ok("tree", "in-order"), _ok("tree", "reversed", value_repr="[2]")],
         )
         assert not report.conforms
         text = report.explain()
         assert "DIVERGES" in text
-        assert "first divergence at tree/thread: value: expected [1], got [2]" in text
-        assert "[tree/seq]" in text and "[tree/thread]" in text
+        assert "first divergence at tree/reversed: value: expected [1], got [2]" in text
+        assert "[tree/in-order]" in text and "[tree/reversed]" in text
 
     def test_repr_compared_only_within_one_engine(self):
         # The engines' closures print differently; the fingerprint is
         # what crosses engines.
-        other_engine = _ok("compiled", "seq", value_repr="[1]")
+        other_engine = _ok("compiled", "in-order", value_repr="[1]")
         other_engine.value_repr = "VCompiledClosure(...)"
-        report = Report("'demo'", [_ok("tree", "seq"), other_engine])
+        report = Report("'demo'", [_ok("tree", "in-order"), other_engine])
         assert report.conforms
-        same_engine = _ok("tree", "thread")
+        same_engine = _ok("tree", "reversed")
         same_engine.value_repr = "VClosure(...)"
-        report = Report("'demo'", [_ok("tree", "seq"), same_engine])
-        assert "tree/thread: value" in report.divergence()
+        report = Report("'demo'", [_ok("tree", "in-order"), same_engine])
+        assert "tree/reversed: value" in report.divergence()
 
     def test_cost_divergence_detected(self):
         other = BspCost(
             p=1, supersteps=[SuperstepCost(work=(1.0,), relation=None)]
         )
         report = Report(
-            "'demo'", [_ok("tree", "seq"), _ok("tree", "thread", cost=other)]
+            "'demo'", [_ok("tree", "in-order"), _ok("tree", "reversed", cost=other)]
         )
         assert not report.conforms
-        assert "tree/thread: cost: expected 0 supersteps" in report.explain()
+        assert "tree/reversed: cost: expected 0 supersteps" in report.explain()
         shifted = BspCost(
             p=1, supersteps=[SuperstepCost(work=(2.0,), relation=None)]
         )
         report = Report(
             "'demo'",
-            [_ok("tree", "seq", cost=other), _ok("compiled", "seq", cost=shifted)],
+            [_ok("tree", "in-order", cost=other), _ok("compiled", "in-order", cost=shifted)],
         )
-        assert "compiled/seq: cost superstep 0" in report.divergence()
+        assert "compiled/in-order: cost superstep 0" in report.divergence()
 
     def test_error_divergence_detected(self):
-        failed = Observation(backend="thread", engine="tree", error="RuntimeError: x")
-        report = Report("'demo'", [_ok("tree", "seq"), failed])
+        failed = Observation(schedule="reversed", engine="tree", error="RuntimeError: x")
+        report = Report("'demo'", [_ok("tree", "in-order"), failed])
         assert not report.conforms
-        assert report.divergence().startswith("tree/thread: error:")
+        assert report.divergence().startswith("tree/reversed: error:")
 
     def test_explain_mentions_program(self):
-        report = Report("'my program'", [_ok("tree", "seq")])
+        report = Report("'my program'", [_ok("tree", "in-order")])
         assert "'my program'" in report.explain()
 
     def test_typing_divergence_names_the_derivation(self):
-        report = conform("let f = fun x -> x in f 1", backends=())
+        report = conform("let f = fun x -> x in f 1", schedules=())
         report.typing[1].derivation.premises[1].note = "doctored"
         assert report.divergence().startswith("infer uf: derivation at root.1")
 
 
 class TestTheorem1:
     def test_value_retyping_at_another_type_fails(self):
-        report = conform("1 + 1", backends=("seq",), engines=("tree",))
+        report = conform("1 + 1", schedules=("in-order",), engines=("tree",))
         assert report.conforms
         report.reference.value = True
         found = report.divergence()
-        assert found.startswith("tree/seq: Theorem 1: value retypes at bool"), found
+        assert found.startswith("tree/in-order: Theorem 1: value retypes at bool"), found
 
     def test_well_typed_program_going_wrong_fails(self):
-        report = conform("1 + 1", backends=("seq",), engines=("tree",))
+        report = conform("1 + 1", schedules=("in-order",), engines=("tree",))
         report.reference.error = "DynamicNestingError: nested"
         assert "Theorem 1: well-typed program went wrong" in report.divergence()
 
     def test_other_runtime_errors_are_allowed(self):
-        report = conform("1 / 0", backends=("seq",))
+        report = conform("1 / 0", schedules=("in-order",))
         assert report.typing[0].ok and not report.reference.ok
         assert report.conforms
 
     def test_rejected_programs_are_not_checked(self):
-        report = conform("mkpar (fun pid -> mkpar (fun i -> i))", backends=("seq",))
+        report = conform("mkpar (fun pid -> mkpar (fun i -> i))", schedules=("in-order",))
         assert not report.typing[0].ok
         assert "DynamicNestingError" in report.reference.error
 
