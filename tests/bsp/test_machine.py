@@ -294,6 +294,15 @@ class TestSchedules:
         m.barrier()
         assert m.cost().supersteps[0].work == (1.0,) * 5
 
+    @pytest.mark.parametrize("name", SCHEDULE_NAMES)
+    def test_timings_are_measured(self, name):
+        m = BspMachine(BspParams(p=3), schedule=schedule_of(name))
+        m.run_superstep([partial(_recorded, [], i) for i in range(3)])
+        m.barrier()
+        measured = m.cost().supersteps[0].measured
+        assert measured is not None and len(measured) == 3
+        assert all(seconds >= 0.0 for seconds in measured)
+
     def test_schedule_sets_the_run_order(self):
         ran = []
         m = BspMachine(BspParams(p=4), schedule=schedule_of("reversed"))
